@@ -338,20 +338,35 @@ def simulate_reversed_ensemble(
     return sgn * y, sgn * z, frac
 
 
-def _reversed_bridge_core(theta, b0, grid, rng, capture_step, record):
+def _bridge_draws(rng, m: int):
+    """Per-step draw functions (normals, uniforms) of the bridge core.
+
+    One shared generator draws m-vectors; a list of per-path generators
+    draws one scalar per path, so path j draws exactly what a one-path run
+    on its own stream draws.
+    """
+    if isinstance(rng, np.random.Generator):
+        return (lambda: rng.standard_normal(m)), (lambda: rng.random(m))
+    normals, uniforms = [g.standard_normal for g in rng], [g.random for g in rng]
+    return (lambda: np.array([f() for f in normals])), (lambda: np.array([f() for f in uniforms]))
+
+
+def _reversed_bridge_core(theta, b0, grid, rng, capture_step):
     """Bridge-to-zero reversal for theta >= 0, vectorized over paths.
 
     The modulus runs the exact Gaussian bridge recursion from |b0| down to 0
     over the grid; each step draws the exact local time spent at 0 given the
     step endpoints (an atom at 0 plus a shifted-Gaussian tail), and every
     step that charges local time re-draws the excursion sign with the skew
-    split.  Returns recorded (skew, local-time) node arrays, or the captured
-    slice plus total local time.
+    split.  With ``capture_step`` None returns the recorded (skew,
+    local-time) node arrays, else the captured slice plus total local time.
     """
     n = grid.n_steps
     h = grid.h
     horizon = grid.t_end
     m = b0.size
+    normal, uniform = _bridge_draws(rng, m)
+    record = capture_step is None
     g = b0.copy()
     sign = np.where(b0 >= 0.0, 1.0, -1.0)
     beta_plus = (1.0 + theta) / 2.0
@@ -368,12 +383,12 @@ def _reversed_bridge_core(theta, b0, grid, rng, capture_step, record):
         # the final step has rem = h up to rounding; pin the ratio so the
         # bridge lands on 0 exactly instead of within sqrt(eps) of it
         ratio = max((rem - h) / rem, 0.0) if k < n - 1 else 0.0
-        g_new = g * ratio + math.sqrt(h * ratio) * rng.standard_normal(m)
+        g_new = g * ratio + math.sqrt(h * ratio) * normal()
         gap2 = np.square(g_new - g)
         amp = np.abs(g) + np.abs(g_new)
-        tail = np.sqrt(gap2 - 2.0 * h * np.log(1.0 - rng.random(m)))
+        tail = np.sqrt(gap2 - 2.0 * h * np.log(1.0 - uniform()))
         step_ell = np.maximum(0.0, tail - amp)
-        fresh = np.where(rng.random(m) < beta_plus, 1.0, -1.0)
+        fresh = np.where(uniform() < beta_plus, 1.0, -1.0)
         sign = np.where(step_ell > 0.0, fresh, sign)
         ell += step_ell
         g = g_new
@@ -400,60 +415,60 @@ def reversed_pair_bridge(
     driver coordinate is the skew value minus theta times the *remaining*
     local time, so it ends at 0, the forward start.  Marginals are exact in
     law at the grid nodes; theta < 0 runs the mirrored system and negates.
+    This is :func:`reversed_bridge_ensemble` with one path.
 
     Unlike :func:`simulate_reversed_pair` this spans the full horizon (the
     remaining local time needs the whole bridge) and needs no drift floor.
     """
-    coeffs = SkewCoefficients(theta)
-    b = float(terminal_skew)
-    if not math.isfinite(b):
-        raise ValueError(f"terminal_skew must be finite, got {terminal_skew}")
-    flip = theta < 0.0
-    th, b0 = (-theta, -b) if flip else (theta, b)
-    if th == 1.0 and b0 < 0.0:
-        raise ValueError("|theta| = 1 keeps the skew value on one half-line; terminal is unreachable")
-    rng = seed.generator()
-    skew_nodes, ell_nodes = _reversed_bridge_core(
-        th, np.array([b0]), grid, rng, capture_step=None, record=True
-    )
-    skew = skew_nodes[:, 0]
-    remaining = ell_nodes[-1, 0] - ell_nodes[:, 0]
-    driver = skew - th * remaining
-    sgn = -1.0 if flip else 1.0
-    return Path(grid, coeffs.s(sgn * skew)), Path(grid, sgn * driver)
+    y, z = reversed_bridge_ensemble(theta, [float(terminal_skew)], grid, seed)
+    return Path(grid, y[0]), Path(grid, z[0])
 
 
 def reversed_bridge_ensemble(
     theta: float,
-    terminal_skew: np.ndarray,
+    terminal_skew,
     grid: TimeGrid,
-    seed: SeedSpec,
-    capture_step: int,
+    seed,
+    capture_step: int | None = None,
 ):
-    """Ensemble version of :func:`reversed_pair_bridge`, sliced at one node.
+    """Ensemble version of :func:`reversed_pair_bridge`, all paths in lockstep.
 
-    Runs all reversed paths in lockstep over the full grid and returns
-    ``(y, z, local_time_total)``: the (Y-bar, B-bar) values at node
-    ``capture_step`` and each path's total boundary local time (whose law is
-    that of the forward local time at t_end -- handy for cross-checks).
+    ``seed`` is one :class:`SeedSpec` shared by all paths, or one per path;
+    path j then draws exactly what ``reversed_pair_bridge`` does on seed[j].
+    With ``capture_step`` None returns ``(y, z)`` of shape (paths, n + 1),
+    row j holding path j's (Y-bar, B-bar) at every node.  Otherwise returns
+    ``(y, z, local_time_total)``: the values at node ``capture_step`` and
+    each path's total boundary local time (whose law is that of the forward
+    local time at t_end -- handy for cross-checks).
     """
     coeffs = SkewCoefficients(theta)
     terminal_skew = np.asarray(terminal_skew, dtype=float)
     if terminal_skew.ndim != 1 or terminal_skew.size == 0:
         raise ValueError("terminal_skew must be a nonempty 1-d array")
-    if not 0 <= int(capture_step) <= grid.n_steps:
+    if not np.all(np.isfinite(terminal_skew)):
+        raise ValueError("terminal_skew must be finite")
+    if capture_step is not None and not 0 <= int(capture_step) <= grid.n_steps:
         raise ValueError(f"capture_step must lie in [0, {grid.n_steps}], got {capture_step}")
     flip = theta < 0.0
     th = -theta if flip else theta
     b0 = -terminal_skew if flip else terminal_skew
     if th == 1.0 and np.any(b0 < 0.0):
         raise ValueError("|theta| = 1 keeps the skew value on one half-line; terminal is unreachable")
-    rng = seed.generator()
+    rng = seed.generator() if isinstance(seed, SeedSpec) else [spec.generator() for spec in seed]
+    if isinstance(rng, list) and len(rng) != b0.size:
+        raise ValueError(f"got {len(rng)} seeds for {b0.size} paths")
+    sgn = -1.0 if flip else 1.0
+    if capture_step is None:
+        skew, ell = _reversed_bridge_core(th, b0.copy(), grid, rng, None)
+        # path by path and in place: no full-size temporaries
+        for j in range(b0.size):
+            ell[:, j] = sgn * (skew[:, j] - th * (ell[-1, j] - ell[:, j]))
+            skew[:, j] = coeffs.s(sgn * skew[:, j])
+        return skew.T, ell.T
     cap_skew, cap_ell, ell_total = _reversed_bridge_core(
-        th, b0.copy(), grid, rng, capture_step=int(capture_step), record=False
+        th, b0.copy(), grid, rng, int(capture_step)
     )
     driver = cap_skew - th * (ell_total - cap_ell)
-    sgn = -1.0 if flip else 1.0
     return coeffs.s(sgn * cap_skew), sgn * driver, ell_total
 
 

@@ -27,12 +27,11 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .analytics import joint_density_BL, joint_density_YB, msd, reversed_pair_bridge
+from .analytics import joint_density_BL, joint_density_YB, msd, reversed_bridge_ensemble
 from .core import SeedSpec, make_grid, sample_brownian
 from .experiments import SUITES, run_suite
 from .skew import (
@@ -156,13 +155,30 @@ def _outdir(args) -> str:
     return out
 
 
-def _write_rows(path: str, header: list, rows, written: list) -> None:
-    """Single-writer CSV emission; registers the file for failure cleanup."""
+def _open_csv(path: str, header: list, written: list):
+    """Single-writer CSV emission: opens the file, writes the header, registers it for cleanup."""
     written.append(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    fh.write(",".join(header) + "\n")
+    return fh
+
+
+def _write_rows(path: str, header: list, rows, written: list) -> None:
+    with _open_csv(path, header, written) as fh:
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _block_template(times, n_columns: int) -> list:
+    """Row pieces of an ensemble CSV block, with the shared time column formatted once.
+
+    Joined with a path id they give that path's rows, ``n_columns`` ``%.17g`` slots each.
+    """
+    return ["", *(f",{_fmt(t)}" + ",%.17g" * n_columns + "\n" for t in times)]
+
+
+def _write_block(fh, path_id: int, template: list, columns: tuple) -> None:
+    """One ensemble member's rows, formatted with one ``%`` and written at once."""
+    fh.write(f"{path_id}".join(template) % tuple(np.column_stack(columns).ravel().tolist()))
 
 
 def _write_json(path: str, payload, written: list) -> None:
@@ -176,58 +192,42 @@ def _write_json(path: str, payload, written: list) -> None:
 # simulate
 
 
-def _simulate_columns(task: tuple):
-    """Columns (path_id, t, B, B_theta, L, X) for one ensemble member.
+def _simulate_columns(family, params, windows, grid, seed):
+    """Columns (B, B_theta, L, X) for one ensemble member.
 
-    Module-level so worker processes can unpickle it.  For families driven
-    by plain Brownian motion the B_theta column carries the shifted driver
-    (the theta = 0 construction started at the transformed x0) and L is 0;
-    the reflected family carries its pathwise reflection triple; the skew
-    family carries the jointly simulated walk triple.
+    For families driven by plain Brownian motion the B_theta column carries
+    the shifted driver (the theta = 0 construction started at the
+    transformed x0) and L is 0; the reflected family carries its pathwise
+    reflection triple; the skew family carries the jointly simulated walk
+    triple.
     """
-    family, alpha, theta, x0, t_end, steps, master, index, window_a, window_b = task
-    grid = make_grid(t_end, steps)
-    seed = SeedSpec(master, index)
-    params = ModelParams(alpha=alpha, theta=theta, x0=x0)
+    alpha, theta, x0 = params.alpha, params.theta, params.x0
+    shift = signed_power(x0, 1.0 - alpha) / (1.0 - alpha)
     if family == "skew":
-        start = signed_power(x0, 1.0 - alpha) / (1.0 - alpha)
-        coupled = simulate_skew_pair(theta, start, grid, seed)
+        coupled = simulate_skew_pair(theta, shift, grid, seed)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*non-solution.*")
             solution = skew_solution(params, coupled)
         return (
-            index,
-            grid.times(),
             coupled.driver_B.values,
             coupled.skew_B.values,
             coupled.local_time_L.values,
             solution.values,
         )
     brownian = sample_brownian(grid, seed)
-    shift = signed_power(x0, 1.0 - alpha) / (1.0 - alpha)
     if family == "reflected":
         wandering = brownian.values + shift
         ell = np.maximum(0.0, -np.minimum.accumulate(wandering))
         solution = reflected_solution_explicit(alpha, x0, brownian)
-        return (index, grid.times(), brownian.values, wandering + ell, ell, solution.values)
+        return (brownian.values, wandering + ell, ell, solution.values)
     if family == "benchmark":
         solution = benchmark_solution(params, brownian)
     elif family == "stopped":
         solution = stopped_solution(params, brownian)
     else:
-        solution = nonmarkov_solution(params, NonMarkovParams(window_a, window_b), brownian)
+        solution = nonmarkov_solution(params, NonMarkovParams(*windows), brownian)
     zeros = np.zeros(grid.n_steps + 1)
-    return (index, grid.times(), brownian.values, brownian.values + shift, zeros, solution.values)
-
-
-def _run_tasks(worker, tasks: list, n_workers: int) -> list:
-    """Run per-path tasks, in a process pool when asked, results in task order."""
-    if n_workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(worker, tasks))
-    else:
-        results = [worker(task) for task in tasks]
-    return sorted(results, key=lambda item: item[0])
+    return (brownian.values, brownian.values + shift, zeros, solution.values)
 
 
 def cmd_simulate(args, written: list) -> int:
@@ -241,7 +241,6 @@ def cmd_simulate(args, written: list) -> int:
     steps = _resolve(args, "steps")
     paths = _resolve(args, "paths")
     master = _resolve(args, "seed")
-    workers = _resolve_workers(args)
     window_a = _resolve(args, "window_a")
     window_b = _resolve(args, "window_b")
     if paths < 1:
@@ -249,19 +248,14 @@ def cmd_simulate(args, written: list) -> int:
     params = ModelParams(alpha=alpha, theta=theta, x0=x0)  # validates ranges
     if family == "reflected" and x0 < 0.0:
         raise CliError(f"reflected family needs x0 >= 0, got {x0}")
-    tasks = [
-        (family, alpha, theta, x0, t_end, steps, master, i, window_a, window_b)
-        for i in range(paths)
-    ]
-    results = _run_tasks(_simulate_columns, tasks, workers)
+    grid = make_grid(t_end, steps)
+    template = _block_template(grid.times(), 4)
     out = _outdir(args)
     csv_path = os.path.join(out, "paths.csv")
-    rows = (
-        [str(index), _fmt(t), _fmt(b), _fmt(bt), _fmt(l), _fmt(x)]
-        for index, times, bs, bts, ls, xs in results
-        for t, b, bt, l, x in zip(times, bs, bts, ls, xs)
-    )
-    _write_rows(csv_path, ["path_id", "t", "B", "B_theta", "L", "X"], rows, written)
+    with _open_csv(csv_path, ["path_id", "t", "B", "B_theta", "L", "X"], written) as fh:
+        for index in range(paths):
+            columns = _simulate_columns(family, params, (window_a, window_b), grid, SeedSpec(master, index))
+            _write_block(fh, index, template, columns)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
@@ -320,17 +314,19 @@ def _read_points(path: str, n_columns: int, labels: tuple) -> list:
     if not os.path.isfile(path):
         raise CliError(f"points file not found: {path}")
     rows = []
+    first = True
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             cells = [cell.strip() for cell in line.split(",")]
-            if lineno == 1:
+            if first:  # the first content line may be a header
+                first = False
                 try:
                     [float(cell) for cell in cells]
                 except ValueError:
-                    continue  # header row
+                    continue
             if len(cells) != n_columns:
                 raise CliError(
                     f"{path}:{lineno}: expected {n_columns} columns ({', '.join(labels)}), "
@@ -368,7 +364,9 @@ def cmd_density(args, written: list) -> int:
     table = []
     flagged = 0
     for row in points:
-        if which == "skew":
+        if not all(math.isfinite(c) for c in row):
+            value, status = math.nan, "non-finite"
+        elif which == "skew":
             value, status = skew_density(theta, t, row[0]), "ok"
         elif which == "joint-bl":
             if row[1] <= 0.0:
@@ -453,20 +451,12 @@ def cmd_exit_prob(args, written: list) -> int:
 # reverse
 
 
-def _reverse_columns(task: tuple):
-    theta, terminal, horizon, steps, master, stream, index = task
-    grid = make_grid(horizon, steps)
-    y_path, z_path = reversed_pair_bridge(theta, terminal, grid, SeedSpec(master, stream))
-    return (index, grid.times(), y_path.values, z_path.values)
-
-
 def cmd_reverse(args, written: list) -> int:
     theta = _resolve(args, "theta")
     horizon = _resolve(args, "horizon")
     steps = _resolve(args, "steps")
     paths = _resolve(args, "paths")
     master = _resolve(args, "seed")
-    workers = _resolve_workers(args)
     source = _resolve(args, "terminal_from")
     x0 = _resolve(args, "x0")
     if x0 != 0.0:
@@ -489,19 +479,14 @@ def cmd_reverse(args, written: list) -> int:
             ]
         )
         streams = range(paths, 2 * paths)
-    tasks = [
-        (theta, float(terminals[i]), horizon, steps, master, stream, i)
-        for i, stream in zip(range(paths), streams)
-    ]
-    results = _run_tasks(_reverse_columns, tasks, workers)
+    bridge_seeds = [SeedSpec(master, stream) for stream in streams]
+    ys, zs = reversed_bridge_ensemble(theta, terminals, grid, bridge_seeds)
+    template = _block_template(grid.times(), 2)
     out = _outdir(args)
     csv_path = os.path.join(out, "reversed_paths.csv")
-    rows = (
-        [str(index), _fmt(s), _fmt(y), _fmt(z)]
-        for index, times, ys, zs in results
-        for s, y, z in zip(times, ys, zs)
-    )
-    _write_rows(csv_path, ["path_id", "s", "Y", "Z"], rows, written)
+    with _open_csv(csv_path, ["path_id", "s", "Y", "Z"], written) as fh:
+        for index in range(paths):
+            _write_block(fh, index, template, (ys[index], zs[index]))
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
@@ -530,19 +515,6 @@ def cmd_reverse(args, written: list) -> int:
 # parser / entry point
 
 
-def _resolve_workers(args) -> int:
-    flag = getattr(args, "workers", None)
-    if flag is None:
-        config = getattr(args, "_config_values", {})
-        if "workers" in config:
-            flag = _coerce("workers", config["workers"])
-    if flag is None:
-        return os.cpu_count() or 1
-    if flag < 1:
-        raise CliError(f"--workers must be >= 1, got {flag}")
-    return flag
-
-
 def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, help="model exponent in (-1, 1) [0.5]")
     parser.add_argument("--theta", type=float, help="skewness in [-1, 1] [0]")
@@ -553,7 +525,9 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="master seed [env HDP_LAB_SEED, else 0]")
     parser.add_argument("--out", help="output directory [.]")
     parser.add_argument("--format", choices=("csv", "json"), help="result format where not pinned [csv]")
-    parser.add_argument("--workers", type=int, help="worker processes [machine parallelism]")
+    parser.add_argument(
+        "--workers", type=int, help="reserved for parallel verify; must be >= 1 (ensembles run in one process)"
+    )
     parser.add_argument("--config", help="KEY=VALUE config file; flags win over the file")
 
 
@@ -605,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Evaluate the skew marginal (column: b), the walk/local-time joint "
             "(columns: b, l; --x0 is the driver-space start), or the "
             "solution/driver joint (columns: y, z) at --t-end.  Out-of-domain "
-            "rows are flagged in the status column and flip the exit code to 1."
+            "and non-finite rows are flagged in the status column and flip the "
+            "exit code to 1."
         ),
     )
     p.add_argument("--which", help=f"one of: {', '.join(DENSITIES)}")
@@ -658,6 +633,9 @@ def main(argv=None) -> int:
     written: list = []
     try:
         args._config_values = _parse_config_file(args.config) if args.config else {}
+        workers = _resolve(args, "workers")
+        if workers is not None and workers < 1:
+            raise CliError(f"--workers must be >= 1, got {workers}")
         return args.func(args, written)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

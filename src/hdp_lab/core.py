@@ -9,6 +9,7 @@ simulated (or of how work is split across processes).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,9 +104,14 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 <= int(self.master_seed) < 2**64):
+        for name in ("master_seed", "stream_index"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+        if not (0 <= self.master_seed < 2**64):
             raise ValueError("master_seed must fit in 64 bits")
-        if int(self.stream_index) < 0:
+        if self.stream_index < 0:
             raise ValueError("stream_index must be >= 0")
 
     def generator(self) -> np.random.Generator:

@@ -64,7 +64,7 @@ class _ResidualExperiment:
 
 
 def _timed(reports: list[VerificationReport], t0: float) -> list[VerificationReport]:
-    elapsed = round(time.time() - t0, 3)
+    elapsed = round(time.perf_counter() - t0, 3)
     for report in reports:
         report.metadata["elapsed_s"] = elapsed
     return reports
@@ -72,7 +72,7 @@ def _timed(reports: list[VerificationReport], t0: float) -> list[VerificationRep
 
 def check_exit_probabilities() -> list[VerificationReport]:
     """Exit through +eps from a symmetric band matches the skew split (1+theta)/2."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     reports = []
     for k, theta in enumerate((-0.6, 0.0, 0.6, 1.0)):
         est = exit_probability(theta, eps=0.1, n_paths=20_000, h=1e-5, seed=SeedSpec(1101 + k))
@@ -100,7 +100,7 @@ def check_exit_probabilities() -> list[VerificationReport]:
 
 def check_mean_square_displacement() -> list[VerificationReport]:
     """Sample variance of exactly sampled solutions matches the closed-form msd."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     reports = []
     pairs = ((-0.5, 0.0), (0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 0.5), (0.5, 1.0))
     for k, (alpha, theta) in enumerate(pairs):
@@ -140,7 +140,7 @@ def check_benchmark_residual_refinement() -> list[VerificationReport]:
     side of that singularity, where the decrease is clean (the metadata
     records the medians so the rate is visible).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     master, n_paths, n_fine = 3007, 50, 2**16
     meshes = [2**e for e in range(10, 17)]
     fine = [sample_brownian(make_grid(1.0, n_fine), SeedSpec(master, i)) for i in range(n_paths)]
@@ -172,7 +172,7 @@ def check_benchmark_residual_refinement() -> list[VerificationReport]:
 
 def check_skew_residual_refinement() -> list[VerificationReport]:
     """Skew-solution sup-residuals shrink under mesh refinement (fresh walks per mesh)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     n_paths = 50
     meshes = [2**e for e in range(10, 17)]
     params = ModelParams(alpha=0.5, theta=0.5, x0=0.0)
@@ -210,7 +210,7 @@ def check_alpha_zero_defect_slope() -> list[VerificationReport]:
     estimate must have slope theta (the non-solution defect is theta * L,
     not zero and not theta/2 * L).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = make_grid(1.0, 100_000)
     eps = 2.0 * math.sqrt(grid.h)
     reports = []
@@ -253,7 +253,7 @@ def check_alpha_zero_defect_slope() -> list[VerificationReport]:
 
 def check_sign_bracket_local_time() -> list[VerificationReport]:
     """The bracket of sign(B) against B estimates twice the local time."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = make_grid(1.0, 100_000)
     eps = 2.0 * math.sqrt(grid.h)
     master = 202
@@ -287,7 +287,7 @@ def check_sign_bracket_local_time() -> list[VerificationReport]:
 
 def check_mollified_bracket_convergence() -> list[VerificationReport]:
     """Mollified brackets approach the rough bracket as the width shrinks."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = make_grid(1.0, 10_000)
     widths = (0.1, 0.01, 0.001)
     master = 3200
@@ -347,7 +347,7 @@ def _yb_mass(theta: float, t: float) -> float:
 
 def check_density_normalizations() -> list[VerificationReport]:
     """Joint densities integrate to one; the (Y, B) z-marginal is Gaussian."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     reports = []
     for theta in (0.3, 0.7):
         for t in (0.5, 1.0):
@@ -419,7 +419,7 @@ def check_heat_identity() -> list[VerificationReport]:
     ratios are roundoff-limited where the residual sits near the double
     precision FD floor, so the halving check applies to the median ratio.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     u = 0.7
     reports = []
     for theta in (0.3, 0.7):
@@ -477,7 +477,7 @@ def check_time_reversal() -> list[VerificationReport]:
     tested against their forward laws at T/2 (the skew solution coordinate
     against the transformed skew cdf, the driver against the Gaussian).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     horizon, n_steps, n_paths = 1.0, 10_000, 10_000
     capture = n_steps // 2
     grid = make_grid(horizon, n_steps)
@@ -516,7 +516,7 @@ def check_time_reversal() -> list[VerificationReport]:
 
 def check_pv_truncation() -> list[VerificationReport]:
     """Principal-value truncations stabilize on Brownian paths and drift on skew ones."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     eps_sequence = (1e-1, 1e-2, 1e-3, 1e-4)
     grid = make_grid(1.0, 10**6)
     n_paths, tolerance = 64, 0.5
@@ -560,7 +560,7 @@ def check_pv_truncation() -> list[VerificationReport]:
 
 def check_power_transform_law() -> list[VerificationReport]:
     """The straightening transform of grid-simulated solutions is reflected BM in law."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     alpha = 0.5
     grid = make_grid(1.0, 10_000)
     n_paths = 10_000

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from hdp_lab import (
@@ -141,6 +143,36 @@ class TestBridgeReversal:
         # total boundary local time over [0, T] is half-normal: mean sqrt(2T/pi)
         target = math.sqrt(2.0 * horizon / math.pi)
         assert abs(np.mean(ell) - target) < 4.0 * np.std(ell) / math.sqrt(ell.size)
+
+
+@st.composite
+def bridge_ensembles(draw):
+    """(theta, reachable terminals, grid, one seed per path) for the lockstep bridge."""
+    theta = draw(st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0).filter(lambda t: t != 0.0))
+    terminals = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
+    if abs(theta) == 1.0:  # full skew keeps the skew value on theta's half-line
+        terminals = [math.copysign(abs(b), theta) for b in terminals]
+    grid = make_grid(draw(st.floats(0.1, 2.0)), draw(st.integers(1, 40)))
+    master = draw(st.integers(0, 2**64 - 1))
+    first = draw(st.integers(0, 10_000))
+    return theta, terminals, grid, [SeedSpec(master, first + j) for j in range(len(terminals))]
+
+
+class TestLockstepBridge:
+    @settings(max_examples=60, deadline=None)
+    @given(case=bridge_ensembles())
+    def test_per_path_streams_match_single_path_bridges(self, case):
+        theta, terminals, grid, seeds = case
+        y, z = reversed_bridge_ensemble(theta, terminals, grid, seeds)
+        assert y.shape == z.shape == (len(terminals), grid.n_steps + 1)
+        for j, (terminal, seed) in enumerate(zip(terminals, seeds)):
+            y_j, z_j = reversed_pair_bridge(theta, terminal, grid, seed)
+            np.testing.assert_array_equal(y[j], y_j.values)
+            np.testing.assert_array_equal(z[j], z_j.values)
+
+    def test_seed_count_must_match_paths(self):
+        with pytest.raises(ValueError, match="1 seeds for 2 paths"):
+            reversed_bridge_ensemble(0.5, [0.1, 0.2], make_grid(1.0, 10), [SeedSpec(1)])
 
 
 class TestHeatIdentity:

@@ -1,5 +1,6 @@
 """Command-line contract: files, manifests, exit codes, config precedence."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -156,6 +157,31 @@ class TestDensity:
         )
         assert rc == 2
 
+    def test_header_after_comment_line(self, tmp_path):
+        points = tmp_path / "pts.csv"
+        points.write_text("# pts\nb\n0.1\n")
+        rc = main(
+            ["density", "--which", "skew", "--theta", "0.5", "--points", str(points),
+             "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        header, rows = read_csv(tmp_path / "density_skew.csv")
+        assert header == ["b", "density", "status"]
+        assert [row[0] for row in rows] == ["0.10000000000000001"]
+
+    def test_non_finite_points_flagged_and_exit_1(self, tmp_path, capsys):
+        points = tmp_path / "pts.csv"
+        points.write_text("b\nnan\ninf\n0.1\n")
+        rc = main(
+            ["density", "--which", "skew", "--theta", "0.5", "--points", str(points),
+             "--out", str(tmp_path)]
+        )
+        assert rc == 1
+        _, rows = read_csv(tmp_path / "density_skew.csv")
+        assert [row[2] for row in rows] == ["non-finite", "non-finite", "ok"]
+        assert rows[0][1] == rows[1][1] == "nan"
+        assert "2 flagged" in capsys.readouterr().out
+
     def test_wrong_column_count_exits_2(self, tmp_path):
         points = tmp_path / "pts.csv"
         points.write_text("y,z\n0.1\n")
@@ -255,6 +281,12 @@ class TestConfiguration:
         )
         assert read_manifest(tmp_path)["master_seed"] == 123
 
+    @pytest.mark.parametrize("command", [["simulate", "--family", "skew"], ["reverse"]])
+    def test_workers_accepted_and_validated(self, tmp_path, command):
+        argv = [*command, "--paths", "2", "--steps", "10", "--out", str(tmp_path)]
+        assert main([*argv, "--workers", "2"]) == 0
+        assert main([*argv, "--workers", "0"]) == 2
+
     def test_bad_env_seed_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HDP_LAB_SEED", "abc")
         rc = main(
@@ -262,3 +294,62 @@ class TestConfiguration:
              "--out", str(tmp_path)]
         )
         assert rc == 2
+
+
+#: sha256 of the ensemble CSVs of small runs, recorded with the per-float
+#: writer and the one-bridge-per-path reversal; the CSV bytes are frozen
+SIMULATE_GOLDEN = {
+    "benchmark": (
+        ["--alpha", "0.5", "--theta", "0.3", "--x0", "1"],
+        "aa97c3ef18a7231ecbd8ec4242b929d4d0bc77d690579d147a4425dfee18c028",
+    ),
+    "stopped": (
+        ["--alpha", "0.3", "--x0", "-0.5"],
+        "68ad45ea08adfadabbf3cb8a9891588a57a2fae24bca7d2052d2f42ac7e3c673",
+    ),
+    "nonmarkov": (
+        ["--alpha", "0.5", "--x0", "0.2", "--window-a", "0.3", "--window-b", "0.7"],
+        "75f3070d42066719bc861ebded2778efcc49ca1288c86284a5e31ccf3ccda7f0",
+    ),
+    "skew": (
+        ["--alpha", "-0.5", "--theta", "0.5", "--x0", "0.4"],
+        "0ef88f13468614e8d1cb878ae8bdee104237cbfa5ca8651c03d7269d7764c04f",
+    ),
+    "reflected": (
+        ["--alpha", "0.5", "--x0", "0.2"],
+        "8dad476482103e1398149d80df2ed82c8dc638ac9c8ac25be891ad683ee21132",
+    ),
+}
+REVERSE_GOLDEN = {
+    ("explicit", "0.5"): "fa4b247a01ea82ba6e4a445a18f80324768ea9cca4110d98b971024ce8c61e24",
+    ("explicit", "-0.5"): "b6fdbbaae7e707a06c8957f576e55a168ca33a350778c8072db922124d7944d2",
+    ("explicit", "1"): "31e9a198cafd2333655a1b0d979a1c623770ee124c236c41496cbb816fb7f892",
+    ("forward-sim", "0.5"): "ebdc9fe2fb3b4372d5ed2cdad128b96aae0a44d583f9805af3ab06bfb076ca7e",
+    ("forward-sim", "-0.5"): "bc55b459cfd8db69cbb0a0fa61793824f0a15c0e63b15c815c4624d725df3017",
+    ("forward-sim", "1"): "f73cdaec4fee280233a7315603da27fe116cab35c487af96cdd2c96c7fb298a7",
+}
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("family", sorted(SIMULATE_GOLDEN))
+    def test_simulate_csv_bytes(self, tmp_path, family):
+        flags, digest = SIMULATE_GOLDEN[family]
+        rc = main(
+            ["simulate", "--family", family, *flags, "--paths", "3", "--steps", "40",
+             "--seed", "5", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        assert sha256_of(tmp_path / "paths.csv") == digest
+
+    @pytest.mark.parametrize("source, theta", sorted(REVERSE_GOLDEN))
+    def test_reverse_csv_bytes(self, tmp_path, source, theta):
+        rc = main(
+            ["reverse", "--theta", theta, "--terminal-from", source, "--paths", "4",
+             "--steps", "60", "--seed", "9", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        assert sha256_of(tmp_path / "reversed_paths.csv") == REVERSE_GOLDEN[(source, theta)]

@@ -66,6 +66,17 @@ class TestSeedSpec:
         with pytest.raises(ValueError):
             SeedSpec(master)
 
+    @pytest.mark.parametrize("fields", [(1.7,), (3, 1.5), ("3",)])
+    def test_non_integer_fields_rejected(self, fields):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SeedSpec(*fields)
+
+    def test_numpy_integer_fields_accepted(self):
+        spec = SeedSpec(np.uint64(99), np.int32(3))
+        assert spec == SeedSpec(99, 3)
+        a = spec.generator().standard_normal(5)
+        np.testing.assert_array_equal(a, SeedSpec(99, 3).generator().standard_normal(5))
+
 
 class TestSampleBrownian:
     def test_starts_at_zero_and_is_deterministic(self):
