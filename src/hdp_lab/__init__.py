@@ -51,7 +51,6 @@ from .integrals import (
 )
 from .analytics import (
     IntegrabilityFlags,
-    ReversedDrift,
     heat_check_density,
     integrability_conditions,
     joint_density_BL,
@@ -62,8 +61,6 @@ from .analytics import (
     reversed_drift_z,
     reversed_bridge_ensemble,
     reversed_pair_bridge,
-    simulate_reversed_ensemble,
-    simulate_reversed_pair,
 )
 from .stats import (
     EstimatorResult,

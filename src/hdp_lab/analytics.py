@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Path, SeedSpec, TimeGrid
-from .skew import SkewCoefficients, gauss_pdf
+from .core import Path, SeedSpec, TimeGrid, _require_positive
+from .skew import SkewCoefficients
 
 __all__ = [
-    "ReversedDrift",
     "IntegrabilityFlags",
     "joint_density_BL",
     "joint_density_YB",
@@ -31,8 +30,8 @@ __all__ = [
     "reversed_drift_y",
     "reversed_drift_z",
     "reversed_drift_reflected",
-    "simulate_reversed_pair",
-    "simulate_reversed_ensemble",
+    "reversed_pair_bridge",
+    "reversed_bridge_ensemble",
     "heat_check_density",
     "integrability_conditions",
 ]
@@ -47,8 +46,7 @@ def joint_density_BL(theta, t, w0, b, l):
     this function evaluates only the absolutely continuous l > 0 part.
     """
     coeffs = SkewCoefficients(theta)
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    _require_positive("t", t)
     l_arr = np.asarray(l, dtype=float)
     if np.any(l_arr <= 0.0):
         raise ValueError("l must be positive (the density's continuous part lives on l > 0)")
@@ -72,8 +70,7 @@ def joint_density_YB(theta, t, y, z):
     coeffs = SkewCoefficients(theta)
     if theta == 0.0:
         raise ValueError("theta = 0 degenerates the joint law to the line y = 2z")
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    _require_positive("t", t)
     y_arr = np.asarray(y, dtype=float)
     z_arr = np.asarray(z, dtype=float)
     beta = coeffs.beta(y_arr)
@@ -104,8 +101,7 @@ def msd(alpha: float, theta: float, t: float) -> float:
     if not (-1.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie strictly inside (-1, 1), got {alpha}")
     SkewCoefficients(theta)
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    _require_positive("t", t)
     q = 1.0 / (1.0 - alpha)
     second_moment = math.gamma(q + 0.5) / math.sqrt(math.pi)
     first_moment_sq = math.gamma((q + 1.0) / 2.0) ** 2 / math.pi
@@ -130,8 +126,7 @@ def reversed_drift_y(theta: float, T: float, s: float, y: float, z: float) -> fl
     coeffs = SkewCoefficients(theta)
     if theta == 0.0:
         raise ValueError("reversed drift requires theta != 0")
-    if not T > 0.0:
-        raise ValueError(f"T must be positive, got {T}")
+    _require_positive("T", T)
     if not (0.0 <= s <= T):
         raise ValueError(f"s must lie in [0, T], got {s}")
     if y == 0.0:
@@ -151,191 +146,12 @@ def reversed_drift_z(theta: float, T: float, s: float, y: float, z: float) -> fl
     return b_y * float(coeffs.beta(y))  # 1/sigma = beta
 
 
-@dataclass(frozen=True)
-class ReversedDrift:
-    """Drift pair of the reversed (Y, B) dynamics over horizon T."""
-
-    theta: float
-    T: float
-
-    def b_y(self, s: float, y: float, z: float) -> float:
-        return reversed_drift_y(self.theta, self.T, s, y, z)
-
-    def b_z(self, s: float, y: float, z: float) -> float:
-        return reversed_drift_z(self.theta, self.T, s, y, z)
-
-
 def reversed_drift_reflected(s: float, z: float) -> float:
     """Drift z/s of time-reversed reflected Brownian motion (z >= 0, s > 0)."""
-    if not s > 0.0:
-        raise ValueError(f"s must be positive, got {s}")
+    _require_positive("s", s)
     if z < 0.0:
         raise ValueError(f"z must be nonnegative, got {z}")
     return z / s
-
-
-def _drift_vec(theta: float, T: float, s: float, y: np.ndarray, z: np.ndarray, m_floor: float):
-    """Vectorized (b_y, b_z, clamped-count) for theta in (0, 1); y = 0 maps to drift 0."""
-    sgn = np.sign(y)
-    beta = (1.0 + theta * sgn) / 2.0
-    m = 2.0 * y * np.square(beta) - z
-    clamped = int(np.count_nonzero(m < m_floor))
-    m = np.maximum(m, m_floor)
-    b_y = np.where(
-        sgn == 0.0,
-        0.0,
-        (theta * sgn / beta) * (1.0 / m - m / (theta**2 * (T - s))),
-    )
-    return b_y, b_y * beta, clamped
-
-
-def _reversed_euler(theta, T, y0, z0, grid, rng, record):
-    """Shared-noise Euler of the reversed pair for theta in (0, 1), vectorized over paths.
-
-    The driver increment is computed first and the y update uses
-    sigma(y) * (driver increment), so the degenerate relation
-    dY = sigma(Y) dB holds exactly per step.  The 1/(2 y beta^2 - z) drift
-    factor is floored at a tiny positive value: the term is repulsive
-    (Bessel-like), so excursions against the wedge boundary are pushed back;
-    clamp counts are returned for diagnostics.
-    """
-    n = grid.n_steps
-    h = grid.h
-    root_h = math.sqrt(h)
-    y = np.array(np.atleast_1d(y0), dtype=float).copy()
-    z = np.array(np.atleast_1d(z0), dtype=float).copy()
-    m_floor = 1e-8 * theta * math.sqrt(T)
-    clamped = 0
-    if record:
-        ys = np.empty((n + 1, y.size))
-        zs = np.empty((n + 1, y.size))
-        ys[0] = y
-        zs[0] = z
-    for k in range(n):
-        b_y, b_z, c = _drift_vec(theta, T, k * h, y, z, m_floor)
-        clamped += c
-        d_driver = b_z * h + root_h * rng.standard_normal(y.size)
-        sigma = 2.0 / (1.0 + theta * np.sign(y))
-        y = y + sigma * d_driver
-        z = z + d_driver
-        if record:
-            ys[k + 1] = y
-            zs[k + 1] = z
-    if record:
-        return ys, zs, clamped
-    return y, z, clamped
-
-
-def _reflected_reversed_euler(T, y0, z0, grid, rng, record):
-    """Reflected (theta = 1) reversal: drift w/(T-s), reflection by absolute value.
-
-    w is the reflected coordinate; the driver coordinate z accumulates the
-    same unreflected increments, so w - z grows by the reflection overshoots
-    (the discrete local time).
-    """
-    n = grid.n_steps
-    h = grid.h
-    root_h = math.sqrt(h)
-    w = np.array(np.atleast_1d(y0), dtype=float).copy()
-    z = np.array(np.atleast_1d(z0), dtype=float).copy()
-    if record:
-        ws = np.empty((n + 1, w.size))
-        zs = np.empty((n + 1, w.size))
-        ws[0] = w
-        zs[0] = z
-    for k in range(n):
-        remaining = T - k * h
-        increment = (w / remaining) * h + root_h * rng.standard_normal(w.size)
-        w = np.abs(w + increment)
-        z = z + increment
-        if record:
-            ws[k + 1] = w
-            zs[k + 1] = z
-    if record:
-        return ws, zs, 0
-    return w, z, 0
-
-
-def _check_reversal_inputs(theta, T, grid):
-    SkewCoefficients(theta)
-    if theta == 0.0:
-        raise ValueError("time reversal machinery requires theta != 0")
-    if not T > 0.0:
-        raise ValueError(f"T must be positive, got {T}")
-    if grid.t_end > T + 1e-12:
-        raise ValueError(f"reversed grid horizon {grid.t_end} exceeds T = {T}")
-
-
-def simulate_reversed_pair(
-    theta: float, T: float, terminal, grid: TimeGrid, seed: SeedSpec
-) -> tuple[Path, Path]:
-    """Euler path of the reversed pair (Y-bar, B-bar) from a forward terminal (y, z).
-
-    Reversed time runs over ``grid`` (t_end <= T); the state at reversed time
-    s has the law of the forward pair at T - s when the terminal is drawn
-    from the forward law at T.  The terminal must lie strictly inside the
-    support wedge.  |theta| = 1 dispatches to the reflected variant (drift
-    w/(T-s), reflection by absolute value); theta < 0 runs the mirrored
-    theta > 0 system and negates.
-
-    The drift pair governs the dynamics away from y = 0 only; the scheme
-    carries no boundary local-time exchange, so ensemble marginals drift
-    from the forward law on horizon scales once paths hit 0.  For
-    distribution-level work use :func:`reversed_pair_bridge`.
-    """
-    _check_reversal_inputs(theta, T, grid)
-    y0, z0 = (float(terminal[0]), float(terminal[1]))
-    coeffs = SkewCoefficients(theta)
-    _require_wedge(coeffs, y0, z0)
-    rng = seed.generator()
-    flip = theta < 0.0
-    th, a, b = (-theta, -y0, -z0) if flip else (theta, y0, z0)
-    if th == 1.0:
-        if a < 0.0:
-            raise ValueError("reflected reversal needs a terminal on the reachable half-line")
-        ys, zs, _ = _reflected_reversed_euler(T, a, b, grid, rng, record=True)
-    else:
-        ys, zs, _ = _reversed_euler(th, T, a, b, grid, rng, record=True)
-    sgn = -1.0 if flip else 1.0
-    return Path(grid, sgn * ys[:, 0]), Path(grid, sgn * zs[:, 0])
-
-
-def simulate_reversed_ensemble(
-    theta: float,
-    T: float,
-    terminal_y: np.ndarray,
-    terminal_z: np.ndarray,
-    grid: TimeGrid,
-    seed: SeedSpec,
-):
-    """Terminal-slice ensemble version of :func:`simulate_reversed_pair`.
-
-    Takes arrays of per-path forward terminals, runs all reversed paths in
-    lockstep on one grid with one seed, and returns (y_final, z_final,
-    clamp_fraction) at reversed time t_end; clamp_fraction is the fraction
-    of Euler sub-steps on which the wedge floor engaged.  The same boundary
-    caveat as :func:`simulate_reversed_pair` applies; law-faithful ensembles
-    come from :func:`reversed_bridge_ensemble`.
-    """
-    _check_reversal_inputs(theta, T, grid)
-    terminal_y = np.asarray(terminal_y, dtype=float)
-    terminal_z = np.asarray(terminal_z, dtype=float)
-    if terminal_y.shape != terminal_z.shape or terminal_y.ndim != 1:
-        raise ValueError("terminal_y and terminal_z must be 1-d arrays of equal length")
-    rng = seed.generator()
-    flip = theta < 0.0
-    th = -theta if flip else theta
-    a = -terminal_y if flip else terminal_y
-    b = -terminal_z if flip else terminal_z
-    if th == 1.0:
-        if np.any(a < 0.0):
-            raise ValueError("reflected reversal needs terminals on the reachable half-line")
-        y, z, clamped = _reflected_reversed_euler(T, a, b, grid, rng, record=False)
-    else:
-        y, z, clamped = _reversed_euler(th, T, a, b, grid, rng, record=False)
-    sgn = -1.0 if flip else 1.0
-    frac = clamped / (grid.n_steps * terminal_y.size)
-    return sgn * y, sgn * z, frac
 
 
 def _bridge_draws(rng, m: int):
@@ -415,10 +231,8 @@ def reversed_pair_bridge(
     driver coordinate is the skew value minus theta times the *remaining*
     local time, so it ends at 0, the forward start.  Marginals are exact in
     law at the grid nodes; theta < 0 runs the mirrored system and negates.
-    This is :func:`reversed_bridge_ensemble` with one path.
-
-    Unlike :func:`simulate_reversed_pair` this spans the full horizon (the
-    remaining local time needs the whole bridge) and needs no drift floor.
+    This is :func:`reversed_bridge_ensemble` with one path.  It spans the
+    full horizon, since the remaining local time needs the whole bridge.
     """
     y, z = reversed_bridge_ensemble(theta, [float(terminal_skew)], grid, seed)
     return Path(grid, y[0]), Path(grid, z[0])
@@ -481,8 +295,7 @@ def heat_check_density(theta: float, u: float, y: float, z: float, fd_step: floa
     |L p - d_u p| / |d_u p|.  The full 3x3 stencil must stay inside the
     wedge, off y = 0, and at positive times.
     """
-    if not fd_step > 0.0:
-        raise ValueError(f"fd_step must be positive, got {fd_step}")
+    _require_positive("fd_step", fd_step)
     if not u - fd_step > 0.0:
         raise ValueError("u - fd_step must stay positive")
     if abs(y) <= fd_step:

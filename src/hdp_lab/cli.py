@@ -637,11 +637,7 @@ def main(argv=None) -> int:
         if workers is not None and workers < 1:
             raise CliError(f"--workers must be >= 1, got {workers}")
         return args.func(args, written)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _cleanup(written)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _cleanup(written)
         return 2

@@ -83,6 +83,12 @@ class Path:
         return float(self.values[-1])
 
 
+def _require_positive(name: str, value: float) -> None:
+    """Reject a scale parameter unless 0 < value < inf; nan fails too."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _require_same_grid(a: Path, b: Path) -> None:
     if not a.grid.same_as(b.grid):
         raise ValueError(

@@ -12,6 +12,7 @@ under ``elapsed_s``.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -51,6 +52,7 @@ from .stats import (
     convergence_study,
     exit_probability,
     ks_test,
+    report_within_tolerance,
     variance_with_se,
 )
 
@@ -63,44 +65,47 @@ class _ResidualExperiment:
     residuals: Callable[[int], np.ndarray]
 
 
-def _timed(reports: list[VerificationReport], t0: float) -> list[VerificationReport]:
-    elapsed = round(time.perf_counter() - t0, 3)
-    for report in reports:
-        report.metadata["elapsed_s"] = elapsed
-    return reports
+def _timed(check: Callable[[], list[VerificationReport]]):
+    """Stamp the check's wall-clock seconds on each of its reports as ``elapsed_s``."""
+
+    @functools.wraps(check)
+    def timed() -> list[VerificationReport]:
+        t0 = time.perf_counter()
+        reports = check()
+        elapsed = round(time.perf_counter() - t0, 3)
+        for report in reports:
+            report.metadata["elapsed_s"] = elapsed
+        return reports
+
+    return timed
 
 
+@_timed
 def check_exit_probabilities() -> list[VerificationReport]:
     """Exit through +eps from a symmetric band matches the skew split (1+theta)/2."""
-    t0 = time.perf_counter()
     reports = []
     for k, theta in enumerate((-0.6, 0.0, 0.6, 1.0)):
         est = exit_probability(theta, eps=0.1, n_paths=20_000, h=1e-5, seed=SeedSpec(1101 + k))
-        target = (1.0 + theta) / 2.0
-        tolerance = 3.0 * est.std_error
         reports.append(
-            VerificationReport(
-                check_name=f"exit probability, theta={theta}",
-                measured=est.value,
-                reference=target,
-                tolerance=tolerance,
-                passed=abs(est.value - target) <= tolerance,
-                metadata={
-                    "rule": "upper-exit fraction within 3 SE of (1+theta)/2",
-                    "theta": theta,
-                    "eps": 0.1,
-                    "h": 1e-5,
-                    "n_paths": 20_000,
-                    "master_seed": 1101 + k,
-                },
+            report_within_tolerance(
+                f"exit probability, theta={theta}",
+                est.value,
+                (1.0 + theta) / 2.0,
+                3.0 * est.std_error,
+                rule="upper-exit fraction within 3 SE of (1+theta)/2",
+                theta=theta,
+                eps=0.1,
+                h=1e-5,
+                n_paths=20_000,
+                master_seed=1101 + k,
             )
         )
-    return _timed(reports, t0)
+    return reports
 
 
+@_timed
 def check_mean_square_displacement() -> list[VerificationReport]:
     """Sample variance of exactly sampled solutions matches the closed-form msd."""
-    t0 = time.perf_counter()
     reports = []
     pairs = ((-0.5, 0.0), (0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 0.5), (0.5, 1.0))
     for k, (alpha, theta) in enumerate(pairs):
@@ -108,28 +113,24 @@ def check_mean_square_displacement() -> list[VerificationReport]:
         b = np.atleast_1d(skew_transition_sample(theta, 0.0, 1.0, seed, size=100_000))
         x = signed_power((1.0 - alpha) * b, 1.0 / (1.0 - alpha))
         est = variance_with_se(x)
-        target = msd(alpha, theta, 1.0)
-        tolerance = 3.0 * est.std_error
         reports.append(
-            VerificationReport(
-                check_name=f"mean-square displacement, alpha={alpha}, theta={theta}",
-                measured=est.value,
-                reference=target,
-                tolerance=tolerance,
-                passed=abs(est.value - target) <= tolerance,
-                metadata={
-                    "rule": "variance of 1e5 exact transformed draws within 3 SE of msd",
-                    "alpha": alpha,
-                    "theta": theta,
-                    "t": 1.0,
-                    "n_samples": 100_000,
-                    "master_seed": 1201 + k,
-                },
+            report_within_tolerance(
+                f"mean-square displacement, alpha={alpha}, theta={theta}",
+                est.value,
+                msd(alpha, theta, 1.0),
+                3.0 * est.std_error,
+                rule="variance of 1e5 exact transformed draws within 3 SE of msd",
+                alpha=alpha,
+                theta=theta,
+                t=1.0,
+                n_samples=100_000,
+                master_seed=1201 + k,
             )
         )
-    return _timed(reports, t0)
+    return reports
 
 
+@_timed
 def check_benchmark_residual_refinement() -> list[VerificationReport]:
     """Benchmark-solution sup-residuals shrink under mesh refinement.
 
@@ -140,7 +141,6 @@ def check_benchmark_residual_refinement() -> list[VerificationReport]:
     side of that singularity, where the decrease is clean (the metadata
     records the medians so the rate is visible).
     """
-    t0 = time.perf_counter()
     master, n_paths, n_fine = 3007, 50, 2**16
     meshes = [2**e for e in range(10, 17)]
     fine = [sample_brownian(make_grid(1.0, n_fine), SeedSpec(master, i)) for i in range(n_paths)]
@@ -167,12 +167,12 @@ def check_benchmark_residual_refinement() -> list[VerificationReport]:
             {"alpha": alpha, "x0": 1.0, "n_paths": n_paths, "master_seed": master}
         )
         reports.append(report)
-    return _timed(reports, t0)
+    return reports
 
 
+@_timed
 def check_skew_residual_refinement() -> list[VerificationReport]:
     """Skew-solution sup-residuals shrink under mesh refinement (fresh walks per mesh)."""
-    t0 = time.perf_counter()
     n_paths = 50
     meshes = [2**e for e in range(10, 17)]
     params = ModelParams(alpha=0.5, theta=0.5, x0=0.0)
@@ -199,9 +199,10 @@ def check_skew_residual_refinement() -> list[VerificationReport]:
             "master_seeds": "3101 + mesh index, stream = path index",
         }
     )
-    return _timed([report], t0)
+    return [report]
 
 
+@_timed
 def check_alpha_zero_defect_slope() -> list[VerificationReport]:
     """At alpha = 0 the residual grows as theta times the local time.
 
@@ -210,7 +211,6 @@ def check_alpha_zero_defect_slope() -> list[VerificationReport]:
     estimate must have slope theta (the non-solution defect is theta * L,
     not zero and not theta/2 * L).
     """
-    t0 = time.perf_counter()
     grid = make_grid(1.0, 100_000)
     eps = 2.0 * math.sqrt(grid.h)
     reports = []
@@ -248,12 +248,12 @@ def check_alpha_zero_defect_slope() -> list[VerificationReport]:
                 },
             )
         )
-    return _timed(reports, t0)
+    return reports
 
 
+@_timed
 def check_sign_bracket_local_time() -> list[VerificationReport]:
     """The bracket of sign(B) against B estimates twice the local time."""
-    t0 = time.perf_counter()
     grid = make_grid(1.0, 100_000)
     eps = 2.0 * math.sqrt(grid.h)
     master = 202
@@ -264,30 +264,27 @@ def check_sign_bracket_local_time() -> list[VerificationReport]:
         lhat = local_time_occupation(b, eps).terminal
         deviations.append(abs(bracket - 2.0 * lhat) / (2.0 * lhat))
     mean_dev = float(np.mean(deviations))
-    return _timed(
-        [
-            VerificationReport(
-                check_name="sign bracket vs local time",
-                measured=mean_dev,
-                reference=0.0,
-                tolerance=0.10,
-                passed=mean_dev < 0.10,
-                metadata={
-                    "rule": "mean over paths of |bracket(sign B, B) - 2 L| / (2 L) below 0.10",
-                    "h": 1e-5,
-                    "n_paths": 100,
-                    "occupation_eps": eps,
-                    "master_seed": master,
-                },
-            )
-        ],
-        t0,
-    )
+    return [
+        VerificationReport(
+            check_name="sign bracket vs local time",
+            measured=mean_dev,
+            reference=0.0,
+            tolerance=0.10,
+            passed=mean_dev < 0.10,
+            metadata={
+                "rule": "mean over paths of |bracket(sign B, B) - 2 L| / (2 L) below 0.10",
+                "h": 1e-5,
+                "n_paths": 100,
+                "occupation_eps": eps,
+                "master_seed": master,
+            },
+        )
+    ]
 
 
+@_timed
 def check_mollified_bracket_convergence() -> list[VerificationReport]:
     """Mollified brackets approach the rough bracket as the width shrinks."""
-    t0 = time.perf_counter()
     grid = make_grid(1.0, 10_000)
     widths = (0.1, 0.01, 0.001)
     master = 3200
@@ -323,7 +320,7 @@ def check_mollified_bracket_convergence() -> list[VerificationReport]:
                 },
             )
         )
-    return _timed(reports, t0)
+    return reports
 
 
 def _yb_mass(theta: float, t: float) -> float:
@@ -345,9 +342,9 @@ def _yb_mass(theta: float, t: float) -> float:
     return negative + positive
 
 
+@_timed
 def check_density_normalizations() -> list[VerificationReport]:
     """Joint densities integrate to one; the (Y, B) z-marginal is Gaussian."""
-    t0 = time.perf_counter()
     reports = []
     for theta in (0.3, 0.7):
         for t in (0.5, 1.0):
@@ -408,9 +405,10 @@ def check_density_normalizations() -> list[VerificationReport]:
             },
         )
     )
-    return _timed(reports, t0)
+    return reports
 
 
+@_timed
 def check_heat_identity() -> list[VerificationReport]:
     """The joint density solves its forward equation, with second-order FD decay.
 
@@ -419,7 +417,6 @@ def check_heat_identity() -> list[VerificationReport]:
     ratios are roundoff-limited where the residual sits near the double
     precision FD floor, so the halving check applies to the median ratio.
     """
-    t0 = time.perf_counter()
     u = 0.7
     reports = []
     for theta in (0.3, 0.7):
@@ -466,9 +463,10 @@ def check_heat_identity() -> list[VerificationReport]:
                 },
             )
         )
-    return _timed(reports, t0)
+    return reports
 
 
+@_timed
 def check_time_reversal() -> list[VerificationReport]:
     """Reversed ensembles reproduce the forward marginals at mid-horizon.
 
@@ -477,7 +475,6 @@ def check_time_reversal() -> list[VerificationReport]:
     tested against their forward laws at T/2 (the skew solution coordinate
     against the transformed skew cdf, the driver against the Gaussian).
     """
-    t0 = time.perf_counter()
     horizon, n_steps, n_paths = 1.0, 10_000, 10_000
     capture = n_steps // 2
     grid = make_grid(horizon, n_steps)
@@ -511,12 +508,12 @@ def check_time_reversal() -> list[VerificationReport]:
                 },
             )
         )
-    return _timed(reports, t0)
+    return reports
 
 
+@_timed
 def check_pv_truncation() -> list[VerificationReport]:
     """Principal-value truncations stabilize on Brownian paths and drift on skew ones."""
-    t0 = time.perf_counter()
     eps_sequence = (1e-1, 1e-2, 1e-3, 1e-4)
     grid = make_grid(1.0, 10**6)
     n_paths, tolerance = 64, 0.5
@@ -555,12 +552,12 @@ def check_pv_truncation() -> list[VerificationReport]:
                 },
             )
         )
-    return _timed(reports, t0)
+    return reports
 
 
+@_timed
 def check_power_transform_law() -> list[VerificationReport]:
     """The straightening transform of grid-simulated solutions is reflected BM in law."""
-    t0 = time.perf_counter()
     alpha = 0.5
     grid = make_grid(1.0, 10_000)
     n_paths = 10_000
@@ -587,7 +584,7 @@ def check_power_transform_law() -> list[VerificationReport]:
                 },
             )
         )
-    return _timed(reports, t0)
+    return reports
 
 
 SUITES: dict[str, list[Callable[[], list[VerificationReport]]]] = {

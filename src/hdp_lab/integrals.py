@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Path, _require_same_grid
+from .core import Path, _require_positive, _require_same_grid
 from .skew import CoupledSkewPath
 from .solutions import TINY_BASE, ModelParams, signed_power
 
@@ -34,6 +34,7 @@ __all__ = [
     "bracket_estimate",
     "bracket_convergence",
     "mollify",
+    "default_eps_sequence",
     "pv_integral",
     "sde_residual",
     "ito_form_residual",
@@ -94,8 +95,7 @@ def mollify(f: Callable, width: float) -> Callable:
     the capped ramp; for continuous f the surrogate converges to f uniformly
     on compacts as width -> 0.
     """
-    if not width > 0.0:
-        raise ValueError(f"width must be positive, got {width}")
+    _require_positive("width", width)
     f_lo = float(f(-width))
     f_hi = float(f(width))
 
@@ -300,8 +300,7 @@ def chain_rule_residual(
     phi' are supplied by the caller.
     """
     _require_same_grid(X, driver)
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _require_positive("delta", delta)
     probe = np.linspace(-delta, delta, 257)
     if np.max(np.abs(np.asarray(g(probe), dtype=float))) > 0.0:
         raise ValueError("g must vanish identically on [-delta, delta]")

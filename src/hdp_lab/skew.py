@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .core import Path, SeedSpec, TimeGrid
+from .core import Path, SeedSpec, TimeGrid, _require_positive
 
 __all__ = [
     "SkewCoefficients",
@@ -36,6 +36,7 @@ __all__ = [
     "local_time_occupation",
     "oscillating_from_skew",
     "skew_transition_sample",
+    "skew_chain_terminals",
     "skew_density",
     "skew_cdf",
     "sample_skew_with_local_time",
@@ -120,6 +121,8 @@ def simulate_skew_pair(theta: float, x0: float, grid: TimeGrid, seed: SeedSpec) 
     rng = seed.generator()
     n = grid.n_steps
     root_h = math.sqrt(grid.h)
+    if not abs(x0) / root_h < 2**62:  # also rejects inf and nan
+        raise ValueError(f"x0 = {x0} does not fit the walk's int64 lattice at h = {grid.h}")
     m0 = int(round(x0 / root_h))
     x0_used = m0 * root_h
 
@@ -165,8 +168,7 @@ def local_time_occupation(path: Path, epsilon: float) -> Path:
     multiple the plain indicator would overweight the band by half a site on
     each side (a ~25% bias at eps = 2*sqrt(h)).
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _require_positive("epsilon", epsilon)
     absx = np.abs(path.values[:-1])
     weights = 0.5 * (absx <= epsilon) + 0.5 * (absx < epsilon)
     estimate = np.empty(path.grid.n_steps + 1)
@@ -205,8 +207,7 @@ def skew_transition_sample(theta, x_start, t, seed: SeedSpec, size=None):
     With ``size=None`` returns a float, otherwise an ndarray of that shape.
     """
     SkewCoefficients(theta)
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    _require_positive("t", t)
     rng = seed.generator()
     mirrored = x_start < 0
     a = abs(x_start)
@@ -253,16 +254,14 @@ def skew_chain_terminals(theta, grid: TimeGrid, seed: SeedSpec, n_paths: int):
 def skew_density(theta, t, b):
     """Time-t marginal density of skew BM from 0: (1 + theta*sign b) * phi_t(b)."""
     SkewCoefficients(theta)
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    _require_positive("t", t)
     return (1.0 + theta * np.sign(b)) * gauss_pdf(t, b)
 
 
 def skew_cdf(theta, t, b):
     """Cumulative distribution of the time-t skew-BM marginal from 0."""
     SkewCoefficients(theta)
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    _require_positive("t", t)
     b = np.asarray(b, dtype=float)
     z = ndtr(b / math.sqrt(t))
     out = np.where(b <= 0, (1.0 - theta) * z, (1.0 - theta) / 2.0 + (1.0 + theta) * (z - 0.5))
@@ -278,8 +277,7 @@ def sample_skew_with_local_time(theta, t, seed: SeedSpec, size=None):
     otherwise; L = M - |B^theta|.  Returns a pair (b, l).
     """
     coeffs = SkewCoefficients(theta)
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    _require_positive("t", t)
     rng = seed.generator()
     n = 1 if size is None else size
     m = math.sqrt(t) * np.sqrt(np.sum(np.square(rng.standard_normal((3, n))), axis=0))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Path
+from .core import Path, _require_positive
 from .skew import CoupledSkewPath
 
 __all__ = [
@@ -79,10 +79,8 @@ class NonMarkovParams:
     B_level: float
 
     def __post_init__(self) -> None:
-        if not self.A > 0.0:
-            raise ValueError(f"A must be positive, got {self.A}")
-        if not self.B_level > 0.0:
-            raise ValueError(f"B_level must be positive, got {self.B_level}")
+        _require_positive("A", self.A)
+        _require_positive("B_level", self.B_level)
 
 
 def signed_power(x, gamma: float):

@@ -16,11 +16,12 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import kolmogorov
 
-from .core import SeedSpec
+from .core import SeedSpec, _require_positive
 
 __all__ = [
     "EstimatorResult",
     "VerificationReport",
+    "report_within_tolerance",
     "mc_mean_ci",
     "ks_statistic",
     "ks_test",
@@ -154,10 +155,8 @@ def exit_probability(
     """
     if not (-1.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [-1, 1], got {theta}")
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not h > 0.0:
-        raise ValueError(f"h must be positive, got {h}")
+    _require_positive("eps", eps)
+    _require_positive("h", h)
     if int(n_paths) < 2:
         raise ValueError("need at least 2 paths")
     if h > eps**2 / 100.0:

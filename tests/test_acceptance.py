@@ -4,8 +4,13 @@ Each experiment runs once per session (module-scoped fixtures) with the
 seeds, ensemble sizes, meshes, and tolerances pinned in
 ``hdp_lab.experiments``; a test asserts one pass/fail verdict per criterion,
 and the experiments with runtime budgets assert those from the stamped
-wall-clock metadata.
+wall-clock metadata.  Every report must also equal its entry in the
+recorded golden verify output, apart from the ``elapsed_s`` stamp, so a
+refactor that moves any reported value fails here.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +18,25 @@ from hdp_lab import experiments
 from hdp_lab.experiments import SUITES, run_suite
 
 
+_GOLDEN = {
+    report["check_name"]: report
+    for suite in json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "golden" / "verify.json").read_text()
+    ).values()
+    for report in suite
+}
+
+
+def _as_recorded(report):
+    """A report as the JSON verify output holds it, without its wall-clock stamp."""
+    record = json.loads(json.dumps(report.to_dict()))
+    record["metadata"].pop("elapsed_s", None)
+    return record
+
+
 def _require_all(reports):
+    changed = [r.check_name for r in reports if _as_recorded(r) != _GOLDEN.get(r.check_name)]
+    assert not changed, "reports differ from the golden verify output:\n" + "\n".join(changed)
     failures = [
         f"{r.check_name}: measured={r.measured!r}, reference={r.reference!r}, "
         f"tolerance={r.tolerance!r}, rule={r.metadata.get('rule')}"

@@ -19,7 +19,6 @@ from hdp_lab import (
     msd,
     reversed_bridge_ensemble,
     reversed_pair_bridge,
-    simulate_reversed_pair,
     skew_transition_sample,
 )
 from hdp_lab.analytics import (
@@ -95,16 +94,6 @@ class TestReversedDrifts:
             assert reversed_drift_y(0.5, 1.0, s, y, z) == pytest.approx(
                 -reversed_drift_y(-0.5, 1.0, s, -y, -z), rel=1e-12
             )
-
-
-class TestEulerReversedPair:
-    def test_shapes_endpoints_and_determinism(self):
-        grid = make_grid(0.4, 200)
-        y1, z1 = simulate_reversed_pair(0.5, 1.0, (1.3, 0.2), grid, SeedSpec(72))
-        y2, z2 = simulate_reversed_pair(0.5, 1.0, (1.3, 0.2), grid, SeedSpec(72))
-        assert y1.values[0] == 1.3 and z1.values[0] == 0.2
-        np.testing.assert_array_equal(y1.values, y2.values)
-        np.testing.assert_array_equal(z1.values, z2.values)
 
 
 class TestBridgeReversal:

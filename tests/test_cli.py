@@ -221,6 +221,23 @@ class TestScalarCommands:
         assert float(record["target"]) == 1.0
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--family", "skew", "--x0", "inf", "--paths", "2", "--steps", "10"],
+            ["simulate", "--family", "skew", "--x0", "1e300", "--paths", "2", "--steps", "10"],
+            ["exit-prob", "--eps", "inf"],
+            ["exit-prob", "--step-h", "inf"],
+            ["msd", "--t-end", "inf"],
+        ],
+    )
+    def test_exits_2_and_leaves_no_file(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
 class TestReverse:
     def test_explicit_terminals(self, tmp_path):
         rc = main(

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdp_lab import (
     ModelParams,
@@ -35,13 +37,35 @@ def brownian():
     return sample_brownian(make_grid(1.0, 4096), SeedSpec(61))
 
 
+#: integrands f(X) from smooth to rough, applied node-wise to a Brownian path
+INTEGRANDS = {
+    "identity": lambda x: x,
+    "square": np.square,
+    "sqrt-abs": lambda x: np.sqrt(np.abs(x)),
+    "sign": np.sign,
+}
+
+
+@st.composite
+def integrand_driver_pairs(draw):
+    """(f(X), driver) on one grid of at most 500 steps, from two seeded Brownian paths."""
+    grid = make_grid(draw(st.floats(0.01, 2.0)), draw(st.integers(1, 500)))
+    master = draw(st.integers(0, 2**64 - 1))
+    x = sample_brownian(grid, SeedSpec(master, 0))
+    f = INTEGRANDS[draw(st.sampled_from(sorted(INTEGRANDS)))]
+    driver = x if draw(st.booleans()) else sample_brownian(grid, SeedSpec(master, 1))
+    return Path(grid, f(x.values)), driver
+
+
 class TestPartitionSums:
-    def test_forward_backward_bracket_identity(self, brownian):
-        x = brownian
-        fwd = ito_sum(x, x).curve.values
-        bwd = backward_sum(x, x).curve.values
-        gap = np.diff(x.values) ** 2
-        np.testing.assert_allclose(bwd - fwd, np.concatenate([[0.0], np.cumsum(gap)]), atol=1e-12)
+    @settings(max_examples=50, deadline=None)
+    @given(pair=integrand_driver_pairs())
+    def test_forward_backward_bracket_identity(self, pair):
+        integrand, driver = pair
+        fwd = ito_sum(integrand, driver).curve.values
+        bwd = backward_sum(integrand, driver).curve.values
+        bracket = bracket_estimate(integrand, driver).curve.values
+        np.testing.assert_allclose(bwd - fwd, bracket, atol=1e-12)
 
     def test_symmetric_sum_telescopes_for_identity_integrand(self, brownian):
         x = brownian
@@ -49,11 +73,14 @@ class TestPartitionSums:
         exact = 0.5 * (x.values**2 - x.values[0] ** 2)
         np.testing.assert_allclose(sym, exact, atol=1e-12)
 
-    def test_symmetric_is_average_of_one_sided(self, brownian):
-        x = brownian
-        sym = stratonovich_sum(x, x).curve.values
-        avg = 0.5 * (ito_sum(x, x).curve.values + backward_sum(x, x).curve.values)
-        np.testing.assert_allclose(sym, avg, atol=1e-12)
+    @settings(max_examples=50, deadline=None)
+    @given(pair=integrand_driver_pairs())
+    def test_symmetric_is_average_of_one_sided(self, pair):
+        integrand, driver = pair
+        sym = stratonovich_sum(integrand, driver).curve.values
+        fwd = ito_sum(integrand, driver).curve.values
+        bwd = backward_sum(integrand, driver).curve.values
+        np.testing.assert_allclose(sym, 0.5 * (fwd + bwd), atol=1e-12)
 
     def test_literal_small_case(self):
         grid = make_grid(2.0, 2)

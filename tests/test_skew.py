@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtr
 
@@ -45,6 +47,12 @@ def reflection_cdf(theta, start, t, b):
     return np.where(b <= 0.0, low, high)
 
 
+#: skewness values with the full-skew endpoints drawn explicitly
+THETAS = st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0)
+GRIDS = st.builds(make_grid, st.floats(0.01, 2.0), st.integers(1, 500))
+SEEDS = st.integers(0, 2**64 - 1)
+
+
 class TestSkewCoefficients:
     @pytest.mark.parametrize("theta", [-1.5, 1.5, 2.0])
     def test_theta_range(self, theta):
@@ -57,11 +65,15 @@ class TestSkewCoefficients:
         assert co.beta_minus == 0.25
         assert co.kappa == 0.375
 
-    def test_r_and_s_are_inverse(self):
-        co = SkewCoefficients(0.6)
-        y = np.linspace(-3.0, 3.0, 41)
-        np.testing.assert_allclose(co.s(co.r(y)), y, atol=1e-14)
-        np.testing.assert_allclose(co.r(co.s(y)), y, atol=1e-14)
+    @settings(max_examples=100, deadline=None)
+    @given(theta=THETAS, values=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20))
+    def test_r_and_s_are_inverse(self, theta, values):
+        if abs(theta) == 1.0:  # s is finite only on theta's half-line
+            values = [math.copysign(abs(v), theta) for v in values]
+        co = SkewCoefficients(theta)
+        y = np.asarray(values)
+        np.testing.assert_allclose(co.s(co.r(y)), y, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(co.r(co.s(y)), y, rtol=1e-14, atol=1e-14)
 
     def test_r_spot_value(self):
         # r scales each half-line by its split probability: r(1) = beta_plus
@@ -82,15 +94,21 @@ class TestSimulateSkewPair:
         lattice = coupled.skew_B.values / root_h
         np.testing.assert_allclose(lattice, np.round(lattice), atol=1e-9)
 
-    def test_driver_satisfies_defining_relation(self):
+    @settings(max_examples=50, deadline=None)
+    @given(theta=THETAS, x0=st.floats(-1.0, 1.0), grid=GRIDS, master=SEEDS)
+    def test_driver_satisfies_defining_relation(self, theta, x0, grid, master):
         # B = B^theta - x0 - theta * L node-wise, exactly
-        grid = make_grid(1.0, 500)
-        coupled = simulate_skew_pair(0.5, 0.3, grid, SeedSpec(21))
+        coupled = simulate_skew_pair(theta, x0, grid, SeedSpec(master))
         np.testing.assert_allclose(
             coupled.driver_B.values,
-            coupled.skew_B.values - coupled.x0 - 0.5 * coupled.local_time_L.values,
+            coupled.skew_B.values - coupled.x0 - theta * coupled.local_time_L.values,
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan, 1e300])
+    def test_start_off_the_int64_lattice_rejected(self, x0):
+        with pytest.raises(ValueError, match="lattice"):
+            simulate_skew_pair(0.5, x0, make_grid(1.0, 10), SeedSpec(1))
 
     def test_start_snaps_to_lattice(self):
         grid = make_grid(1.0, 400)
@@ -124,12 +142,13 @@ class TestSimulateSkewPair:
             coupled.skew_B.values, b - np.maximum.accumulate(b), atol=1e-12
         )
 
-    def test_mirror_shares_modulus_and_local_time(self):
+    @settings(max_examples=50, deadline=None)
+    @given(theta=THETAS, x0=st.floats(-1.0, 1.0), grid=GRIDS, master=SEEDS)
+    def test_mirror_shares_modulus_and_local_time(self, theta, x0, grid, master):
         # the theta -> -theta walk on the same seed redraws excursion signs,
         # so only the modulus and the local time are pathwise invariant
-        grid = make_grid(1.0, 1000)
-        plus = simulate_skew_pair(0.7, 0.0, grid, SeedSpec(25))
-        minus = simulate_skew_pair(-0.7, 0.0, grid, SeedSpec(25))
+        plus = simulate_skew_pair(theta, x0, grid, SeedSpec(master))
+        minus = simulate_skew_pair(-theta, x0, grid, SeedSpec(master))
         np.testing.assert_allclose(
             np.abs(plus.skew_B.values), np.abs(minus.skew_B.values), atol=1e-12
         )
