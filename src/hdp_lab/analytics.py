@@ -47,6 +47,8 @@ def joint_density_BL(theta, t, w0, b, l):
     """
     coeffs = SkewCoefficients(theta)
     _require_positive("t", t)
+    if not math.isfinite(w0):
+        raise ValueError(f"w0 must be finite, got {w0}")
     l_arr = np.asarray(l, dtype=float)
     if np.any(l_arr <= 0.0):
         raise ValueError("l must be positive (the density's continuous part lives on l > 0)")
@@ -103,9 +105,15 @@ def msd(alpha: float, theta: float, t: float) -> float:
     SkewCoefficients(theta)
     _require_positive("t", t)
     q = 1.0 / (1.0 - alpha)
-    second_moment = math.gamma(q + 0.5) / math.sqrt(math.pi)
-    first_moment_sq = math.gamma((q + 1.0) / 2.0) ** 2 / math.pi
-    return (2.0 * t * (1.0 - alpha) ** 2) ** q * (second_moment - theta**2 * first_moment_sq)
+    try:
+        second_moment = math.gamma(q + 0.5) / math.sqrt(math.pi)
+        first_moment_sq = math.gamma((q + 1.0) / 2.0) ** 2 / math.pi
+        value = (2.0 * t * (1.0 - alpha) ** 2) ** q * (second_moment - theta**2 * first_moment_sq)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"msd overflows the float range at t = {t}, alpha = {alpha}")
+    return value
 
 
 def _require_wedge(coeffs: SkewCoefficients, y: float, z: float) -> None:

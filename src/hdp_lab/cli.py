@@ -10,7 +10,8 @@ exit-prob   Monte Carlo band-exit probability with its closed-form target
 reverse     reversed (solution, driver) paths bridged from forward terminals
 
 Exit codes: 0 = success and every check passed; 1 = a verification or a
-per-row domain check failed; 2 = usage or configuration error.  Options
+per-row domain check failed; 2 = usage or configuration error, or a verify
+worker process that died.  Options
 resolve as flags first, then an optional ``KEY=VALUE`` config file
 (``--config``), then the ``HDP_LAB_SEED`` environment variable for the
 master seed, then built-in defaults.  CSV numbers carry 17 significant
@@ -288,7 +289,7 @@ def cmd_simulate(args, written: list) -> int:
 def cmd_verify(args, written: list) -> int:
     suite = _resolve(args, "suite")
     try:
-        reports = run_suite(suite)
+        reports = run_suite(suite, _resolve(args, "workers"))
     except KeyError as exc:
         raise CliError(str(exc.args[0])) from exc
     out = _outdir(args)
@@ -354,6 +355,8 @@ def cmd_density(args, written: list) -> int:
     if which == "skew":
         labels = ("b",)
     elif which == "joint-bl":
+        if not math.isfinite(x0):
+            raise CliError(f"joint-bl needs a finite --x0, got {x0}")
         labels = ("b", "l")
     else:
         if theta == 0.0:
@@ -526,7 +529,10 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory [.]")
     parser.add_argument("--format", choices=("csv", "json"), help="result format where not pinned [csv]")
     parser.add_argument(
-        "--workers", type=int, help="reserved for parallel verify; must be >= 1 (ensembles run in one process)"
+        "--workers",
+        type=int,
+        help="verify: processes running the suite's units, >= 1 [one per CPU, at most one per unit]; "
+        "simulate and reverse always run in one process",
     )
     parser.add_argument("--config", help="KEY=VALUE config file; flags win over the file")
 

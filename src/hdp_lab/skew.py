@@ -132,20 +132,19 @@ def simulate_skew_pair(theta: float, x0: float, grid: TimeGrid, seed: SeedSpec) 
     np.cumsum(steps, out=s_lattice[1:])
     s_lattice[1:] += m0
 
-    zero_nodes = np.flatnonzero(s_lattice == 0)
-    if theta == 0.0 or zero_nodes.size == 0:
+    # excursion index at node k = number of zeros at nodes <= k;
+    # index 0 = the stretch before the first zero, which keeps S's own sign
+    exc = np.cumsum(s_lattice == 0)
+    n_zeros = int(exc[-1])
+    if theta == 0.0 or n_zeros == 0:
         w_lattice = s_lattice.astype(np.float64)
     else:
-        flips = np.where(rng.random(zero_nodes.size) < coeffs.beta_plus, 1.0, -1.0)
-        # excursion index at node k = number of zeros at nodes <= k;
-        # index 0 = the stretch before the first zero, which keeps S's own sign
-        exc = np.searchsorted(zero_nodes, np.arange(n + 1), side="right")
+        flips = np.where(rng.random(n_zeros) < coeffs.beta_plus, 1.0, -1.0)
         signs = np.concatenate(([1.0], flips))[exc]
         w_lattice = np.where(exc == 0, s_lattice, signs * np.abs(s_lattice))
 
     skew_values = w_lattice * root_h
-    arrivals = np.zeros(n + 1)
-    arrivals[1:] = np.cumsum(s_lattice[1:] == 0)
+    arrivals = exc - exc[0]  # zeros at nodes 1..k; a zero start is no arrival
     local_time = arrivals * root_h
     driver_values = skew_values - x0_used - theta * local_time
 

@@ -99,10 +99,16 @@ def variance_with_se(samples) -> EstimatorResult:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size < 4:
         raise ValueError("variance_with_se needs a 1-d collection of at least 4 samples")
-    s2 = float(np.var(arr, ddof=1))
-    centered = arr - np.mean(arr)
-    m4 = float(np.mean(centered**4))
-    se = math.sqrt(max(m4 - s2**2, 0.0) / arr.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2 = float(np.var(arr, ddof=1))
+        centered = arr - np.mean(arr)
+        m4 = float(np.mean(centered**4))
+    try:
+        se = math.sqrt(max(m4 - s2**2, 0.0) / arr.size)
+    except OverflowError:  # s2**2 beyond the float range
+        se = math.inf
+    if not (math.isfinite(s2) and math.isfinite(se)):
+        raise ValueError("sample variance or its standard error is not finite (samples too large to square?)")
     return EstimatorResult(value=s2, std_error=se, n_samples=int(arr.size))
 
 

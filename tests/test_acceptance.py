@@ -1,12 +1,13 @@
 """Acceptance gate: every advertised identity at its frozen desk-scale protocol.
 
-Each experiment runs once per session (module-scoped fixtures) with the
-seeds, ensemble sizes, meshes, and tolerances pinned in
-``hdp_lab.experiments``; a test asserts one pass/fail verdict per criterion,
-and the experiments with runtime budgets assert those from the stamped
-wall-clock metadata.  Every report must also equal its entry in the
-recorded golden verify output, apart from the ``elapsed_s`` stamp, so a
-refactor that moves any reported value fails here.
+Every check runs once per session, through one ``run_suite("all")`` at the
+default worker count, with the seeds, ensemble sizes, meshes, and
+tolerances pinned in ``hdp_lab.experiments``; a test asserts one pass/fail
+verdict per criterion, and the experiments with runtime budgets assert
+those from the stamped ``elapsed_s`` (the sum of the check's unit times).
+Every report must also equal its entry in the recorded golden verify
+output, apart from the ``elapsed_s`` stamp, so a refactor that moves any
+reported value fails here.
 """
 
 import json
@@ -46,88 +47,84 @@ def _require_all(reports):
     assert not failures, "failed checks:\n" + "\n".join(failures)
 
 
-@pytest.fixture(scope="module")
-def exit_probability_reports():
-    return experiments.check_exit_probabilities()
+@pytest.fixture(scope="session")
+def all_reports():
+    return run_suite("all")
 
 
-@pytest.fixture(scope="module")
-def msd_reports():
-    return experiments.check_mean_square_displacement()
+def _reports(all_reports, *prefixes):
+    """The reports of one check, picked by the prefixes of its report names."""
+    picked = [r for r in all_reports if r.check_name.startswith(prefixes)]
+    assert picked, f"no report named {prefixes}"
+    return picked
 
 
-@pytest.fixture(scope="module")
-def benchmark_refinement_reports():
-    return experiments.check_benchmark_residual_refinement()
+def test_every_golden_report_is_produced_once(all_reports):
+    assert sorted(r.check_name for r in all_reports) == sorted(_GOLDEN)
 
 
-@pytest.fixture(scope="module")
-def reversal_reports():
-    return experiments.check_time_reversal()
+def test_exit_probabilities_match_skew_split(all_reports):
+    _require_all(_reports(all_reports, "exit probability"))
 
 
-def test_exit_probabilities_match_skew_split(exit_probability_reports):
-    _require_all(exit_probability_reports)
+def test_exit_probability_runtime_budget(all_reports):
+    assert _reports(all_reports, "exit probability")[0].metadata["elapsed_s"] < 120.0
 
 
-def test_exit_probability_runtime_budget(exit_probability_reports):
-    assert exit_probability_reports[0].metadata["elapsed_s"] < 120.0
+def test_mean_square_displacement_matches_closed_form(all_reports):
+    _require_all(_reports(all_reports, "mean-square displacement"))
 
 
-def test_mean_square_displacement_matches_closed_form(msd_reports):
-    _require_all(msd_reports)
+def test_mean_square_displacement_runtime_budget(all_reports):
+    assert _reports(all_reports, "mean-square displacement")[0].metadata["elapsed_s"] < 60.0
 
 
-def test_mean_square_displacement_runtime_budget(msd_reports):
-    assert msd_reports[0].metadata["elapsed_s"] < 60.0
+def test_benchmark_residual_shrinks_under_refinement(all_reports):
+    _require_all(_reports(all_reports, "benchmark residual refinement"))
 
 
-def test_benchmark_residual_shrinks_under_refinement(benchmark_refinement_reports):
-    _require_all(benchmark_refinement_reports)
+def test_benchmark_refinement_runtime_budget(all_reports):
+    assert _reports(all_reports, "benchmark residual refinement")[0].metadata["elapsed_s"] < 300.0
 
 
-def test_benchmark_refinement_runtime_budget(benchmark_refinement_reports):
-    assert benchmark_refinement_reports[0].metadata["elapsed_s"] < 300.0
+def test_skew_residual_shrinks_under_refinement(all_reports):
+    _require_all(_reports(all_reports, "skew residual refinement"))
 
 
-def test_skew_residual_shrinks_under_refinement():
-    _require_all(experiments.check_skew_residual_refinement())
+def test_alpha_zero_defect_grows_like_theta_local_time(all_reports):
+    _require_all(_reports(all_reports, "alpha=0 defect slope"))
 
 
-def test_alpha_zero_defect_grows_like_theta_local_time():
-    _require_all(experiments.check_alpha_zero_defect_slope())
+def test_sign_bracket_recovers_twice_local_time(all_reports):
+    _require_all(_reports(all_reports, "sign bracket vs local time"))
 
 
-def test_sign_bracket_recovers_twice_local_time():
-    _require_all(experiments.check_sign_bracket_local_time())
+def test_mollified_brackets_converge(all_reports):
+    _require_all(_reports(all_reports, "mollified bracket convergence"))
 
 
-def test_mollified_brackets_converge():
-    _require_all(experiments.check_mollified_bracket_convergence())
+def test_joint_densities_normalize_and_marginalize(all_reports):
+    _require_all(_reports(all_reports, "joint density masses", "(Y, B) z-marginal"))
 
 
-def test_joint_densities_normalize_and_marginalize():
-    _require_all(experiments.check_density_normalizations())
+def test_density_solves_heat_identity(all_reports):
+    _require_all(_reports(all_reports, "heat identity"))
 
 
-def test_density_solves_heat_identity():
-    _require_all(experiments.check_heat_identity())
+def test_reversed_ensembles_match_forward_marginals(all_reports):
+    _require_all(_reports(all_reports, "time reversal"))
 
 
-def test_reversed_ensembles_match_forward_marginals(reversal_reports):
-    _require_all(reversal_reports)
+def test_time_reversal_runtime_budget(all_reports):
+    assert _reports(all_reports, "time reversal")[0].metadata["elapsed_s"] < 300.0
 
 
-def test_time_reversal_runtime_budget(reversal_reports):
-    assert reversal_reports[0].metadata["elapsed_s"] < 300.0
+def test_pv_truncations_stabilize_only_without_skew(all_reports):
+    _require_all(_reports(all_reports, "pv truncation"))
 
 
-def test_pv_truncations_stabilize_only_without_skew():
-    _require_all(experiments.check_pv_truncation())
-
-
-def test_power_transform_recovers_reflected_law():
-    _require_all(experiments.check_power_transform_law())
+def test_power_transform_recovers_reflected_law(all_reports):
+    _require_all(_reports(all_reports, "power-transform law"))
 
 
 class TestSuiteRegistry:

@@ -35,6 +35,11 @@ class TestMsd:
         assert msd(0.0, 1.0, 1.0) == pytest.approx(1.0 - 2.0 / math.pi, abs=1e-12)
         assert msd(0.5, 0.0, 1.0) == pytest.approx(0.1875, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha, t", [(0.5, 1e307), (0.5, 1e308), (0.999, 1.0)])
+    def test_overflow_rejected(self, alpha, t):
+        with pytest.raises(ValueError, match="overflows"):
+            msd(alpha, 0.5, t)
+
     def test_even_in_theta(self):
         for alpha in (-0.5, 0.0, 0.5):
             assert msd(alpha, 0.6, 1.0) == pytest.approx(msd(alpha, -0.6, 1.0), rel=1e-12)
@@ -60,6 +65,11 @@ class TestJointDensities:
             joint_density_BL(0.5, 1.0, 0.0, 0.3, 0.0)
         with pytest.raises(ValueError, match="t must be positive"):
             joint_density_BL(0.5, 0.0, 0.0, 0.3, 0.1)
+
+    @pytest.mark.parametrize("w0", [math.inf, -math.inf, math.nan])
+    def test_bl_non_finite_start_rejected(self, w0):
+        with pytest.raises(ValueError, match="w0 must be finite"):
+            joint_density_BL(0.5, 1.0, w0, 0.3, 0.1)
 
     def test_yb_vanishes_outside_wedge(self):
         co = SkewCoefficients(0.5)

@@ -230,12 +230,24 @@ class TestNonFiniteInputs:
             ["exit-prob", "--eps", "inf"],
             ["exit-prob", "--step-h", "inf"],
             ["msd", "--t-end", "inf"],
+            ["msd", "--t-end", "1e308"],
+            ["msd", "--t-end", "1e307"],
+            ["msd", "--alpha", "0.5", "--paths", "5", "--t-end", "1e150"],
         ],
     )
     def test_exits_2_and_leaves_no_file(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
         assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+    @pytest.mark.parametrize("x0", ["inf", "-inf", "nan"])
+    def test_joint_bl_start_exits_2_and_leaves_no_file(self, tmp_path, capsys, x0):
+        points = tmp_path / "pts.csv"
+        points.write_text("b,l\n0.3,0.2\n")
+        argv = ["density", "--which", "joint-bl", f"--x0={x0}", "--points", str(points)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
 
 
 class TestReverse:

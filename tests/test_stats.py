@@ -32,6 +32,11 @@ class TestEstimators:
         # m4 = 2.5625 < s^4 here, so the clamped standard error is exactly 0
         assert est.std_error == 0.0
 
+    @pytest.mark.parametrize("big", [1e100, 1e160, np.inf])
+    def test_variance_with_se_rejects_moments_beyond_float_range(self, big):
+        with pytest.raises(ValueError, match="not finite"):
+            variance_with_se(np.array([big, -big, 1.0, 0.0]))
+
     def test_variance_with_se_on_normal_draws(self):
         draws = SeedSpec(81).generator().standard_normal(50_000)
         est = variance_with_se(draws)
