@@ -288,10 +288,9 @@ def cmd_simulate(args, written: list) -> int:
 
 def cmd_verify(args, written: list) -> int:
     suite = _resolve(args, "suite")
-    try:
-        reports = run_suite(suite, _resolve(args, "workers"))
-    except KeyError as exc:
-        raise CliError(str(exc.args[0])) from exc
+    if suite not in SUITE_NAMES:
+        raise CliError(f"unknown suite {suite!r}; known suites: {', '.join(SUITE_NAMES)}")
+    reports = run_suite(suite, _resolve(args, "workers"))
     out = _outdir(args)
     path = os.path.join(out, f"verify_{suite}.json")
     _write_json(path, [report.to_dict() for report in reports], written)

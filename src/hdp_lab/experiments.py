@@ -74,12 +74,14 @@ class _ResidualExperiment:
     residuals: Callable[[int], np.ndarray]
 
 
-def _check(*points: tuple):
+def _check(*points: tuple, seconds: tuple = ()):
     """Make ``unit(*point)`` a check with one unit per point (one unit, no arguments, if none).
 
     The check takes unit indices: ``check()`` runs every unit in order,
     ``check(i, ...)`` only those.  The reports of a call are stamped with its
-    wall-clock seconds as ``elapsed_s``.
+    wall-clock seconds as ``elapsed_s``.  ``seconds`` are the units' serial
+    seconds as measured (2 vCPUs), left out where they take a few hundredths;
+    :func:`run_suite` hands the heaviest units to its workers first.
     """
     points = points or ((),)
 
@@ -95,12 +97,13 @@ def _check(*points: tuple):
 
         del check.__wrapped__  # a check takes unit indices, not the unit's arguments
         check.n_units = len(points)
+        check.unit_seconds = seconds or (0.0,) * len(points)
         return check
 
     return register
 
 
-@_check((-0.6, 1101), (0.0, 1102), (0.6, 1103), (1.0, 1104))
+@_check((-0.6, 1101), (0.0, 1102), (0.6, 1103), (1.0, 1104), seconds=(0.7, 0.7, 1.0, 0.7))
 def check_exit_probabilities(theta: float, master: int) -> list[VerificationReport]:
     """Exit through +eps from a symmetric band matches the skew split (1+theta)/2."""
     est = exit_probability(theta, eps=0.1, n_paths=20_000, h=1e-5, seed=SeedSpec(master))
@@ -149,7 +152,7 @@ def check_mean_square_displacement(alpha: float, theta: float, master: int) -> l
     ]
 
 
-@_check()
+@_check(seconds=(0.6,))
 def check_benchmark_residual_refinement() -> list[VerificationReport]:
     """Benchmark-solution sup-residuals shrink under mesh refinement.
 
@@ -190,7 +193,7 @@ def check_benchmark_residual_refinement() -> list[VerificationReport]:
     return reports
 
 
-@_check()
+@_check(seconds=(0.5,))
 def check_skew_residual_refinement() -> list[VerificationReport]:
     """Skew-solution sup-residuals shrink under mesh refinement (fresh walks per mesh)."""
     n_paths = 50
@@ -222,7 +225,7 @@ def check_skew_residual_refinement() -> list[VerificationReport]:
     return [report]
 
 
-@_check((0.5,), (1.0,))
+@_check((0.5,), (1.0,), seconds=(0.9, 0.9))
 def check_alpha_zero_defect_slope(theta: float) -> list[VerificationReport]:
     """At alpha = 0 the residual grows as theta times the local time.
 
@@ -268,7 +271,7 @@ def check_alpha_zero_defect_slope(theta: float) -> list[VerificationReport]:
     ]
 
 
-@_check()
+@_check(seconds=(0.8,))
 def check_sign_bracket_local_time() -> list[VerificationReport]:
     """The bracket of sign(B) against B estimates twice the local time."""
     grid = make_grid(1.0, 100_000)
@@ -418,6 +421,7 @@ def _yb_z_marginal(theta: float, t: float) -> VerificationReport:
     (_density_masses, 0.7, 0.5),
     (_density_masses, 0.7, 1.0),
     (_yb_z_marginal, 0.7, 1.0),
+    seconds=(0.7, 0.8, 0.6, 0.6, 0.1),
 )
 def check_density_normalizations(part: Callable, theta: float, t: float) -> list[VerificationReport]:
     """Joint densities integrate to one; the (Y, B) z-marginal is Gaussian."""
@@ -479,7 +483,7 @@ def check_heat_identity(theta: float) -> list[VerificationReport]:
     ]
 
 
-@_check((0.5,), (1.0,))
+@_check((0.5,), (1.0,), seconds=(6.5, 6.2))
 def check_time_reversal(theta: float) -> list[VerificationReport]:
     """Reversed ensembles reproduce the forward marginals at mid-horizon.
 
@@ -521,7 +525,7 @@ def check_time_reversal(theta: float) -> list[VerificationReport]:
     ]
 
 
-@_check((0.0, 3401), (0.5, 3402))
+@_check((0.0, 3401), (0.5, 3402), seconds=(4.2, 5.1))
 def check_pv_truncation(theta: float, master: int) -> list[VerificationReport]:
     """Principal-value truncations stabilize on Brownian paths and drift on skew ones."""
     eps_sequence = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -562,7 +566,7 @@ def check_pv_truncation(theta: float, master: int) -> list[VerificationReport]:
     ]
 
 
-@_check((0.0, 7301), (0.5, 7311), (1.0, 7321))
+@_check((0.0, 7301), (0.5, 7311), (1.0, 7321), seconds=(4.7, 4.6, 5.2))
 def check_power_transform_law(theta: float, master: int) -> list[VerificationReport]:
     """The straightening transform of grid-simulated solutions is reflected BM in law."""
     alpha = 0.5
@@ -614,21 +618,31 @@ def _run_unit(unit: tuple[str, int, int]) -> list[VerificationReport]:
     return SUITES[suite][position](index)
 
 
+def _unit_seconds(unit: tuple[str, int, int]) -> float:
+    suite, position, index = unit
+    return SUITES[suite][position].unit_seconds[index]
+
+
 def _run_pool(units: list, workers: int) -> list:
     """Per-unit reports from ``workers`` forked processes, in the order of ``units``.
 
-    Forked, not spawned: workers start without importing numpy and scipy
-    again and see the registry as it is here, and the pool forks them all
-    before it starts a thread of its own.  Every worker is joined before
-    this returns, also when a unit raises.
+    The units are handed out heaviest first by their measured seconds (ties
+    in registry order), so no long unit starts while the other workers run
+    out of work.  Forked, not spawned: workers start without importing numpy
+    and scipy again and see the registry as it is here, and the pool forks
+    them all before it starts a thread of its own.  Every worker is joined
+    before this returns, also when a unit raises.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    order = sorted(range(len(units)), key=lambda i: -_unit_seconds(units[i]))
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        return list(pool.map(_run_unit, units))
+        results = pool.map(_run_unit, [units[i] for i in order])
+        by_unit = dict(zip(order, results))
+        return [by_unit[i] for i in range(len(units))]
     except BrokenProcessPool as exc:
         raise ChildProcessError(f"a verify worker process died before its unit finished ({exc})") from None
     finally:

@@ -194,6 +194,32 @@ def oscillating_from_skew(coupled: CoupledSkewPath) -> Path:
     return Path(coupled.grid, y)
 
 
+#: At or below this exponent the damping exp(-2*rho*|x|/t) is under 2**-92, so
+#: 1 + theta*damp and 1 + damp both round to 1.0, the sign probability is
+#: exactly 1.0, and every uniform draw in [0, 1) keeps +rho.
+_FAR_EXPONENT = -64.0
+
+
+def _signed_modulus(theta, side, xa, rho, t, u):
+    """side * (+rho or -rho): the sign stage of the exact skew-BM transition from side*xa.
+
+    The draw keeps its side (side = +-1, xa >= 0) with probability
+    (1 + side*theta*damp) / (1 + damp), damp = exp(-2*rho*xa/t), that is iff
+    the uniform ``u`` is below it.  The probability is evaluated only where
+    the exponent exceeds ``_FAR_EXPONENT``; elsewhere it is exactly 1.0, so
+    the result is bit for bit that of evaluating it on every draw.
+    """
+    x = side * rho
+    arg = -2.0 * rho * xa / t
+    near = np.flatnonzero(arg > _FAR_EXPONENT)  # flat indices: take/put serve any shape
+    damp = np.exp(arg.take(near))
+    side_near = side.take(near)
+    p_plus = (1.0 + side_near * theta * damp) / (1.0 + damp)
+    rho_near = rho.take(near)
+    np.put(x, near, side_near * np.where(u.take(near) < p_plus, rho_near, -rho_near))
+    return x
+
+
 def skew_transition_sample(theta, x_start, t, seed: SeedSpec, size=None):
     """Exact draw(s) from the time-t skew-BM marginal started at x_start.
 
@@ -205,20 +231,14 @@ def skew_transition_sample(theta, x_start, t, seed: SeedSpec, size=None):
 
     With ``size=None`` returns a float, otherwise an ndarray of that shape.
     """
-    SkewCoefficients(theta)
+    coeffs = SkewCoefficients(theta)
     _require_positive("t", t)
     rng = seed.generator()
-    mirrored = x_start < 0
     a = abs(x_start)
-    th = -theta if mirrored else theta
-
     n = 1 if size is None else size
+    side = np.full(n, -1.0 if x_start < 0 else 1.0)
     rho = np.abs(a + math.sqrt(t) * rng.standard_normal(n))
-    damp = np.exp(-2.0 * rho * a / t)
-    p_plus = (1.0 + th * damp) / (1.0 + damp)
-    draws = np.where(rng.random(n) < p_plus, rho, -rho)
-    if mirrored:
-        draws = -draws
+    draws = _signed_modulus(coeffs.theta, side, a, rho, t, rng.random(n))
     return float(draws[0]) if size is None else draws
 
 
@@ -232,6 +252,15 @@ def skew_chain_terminals(theta, grid: TimeGrid, seed: SeedSpec, n_paths: int):
     path through the current sign.  The terminal law is exact at any step
     count -- no scheme bias and no sqrt(h) value lattice, which matters for
     distribution-level tests on the terminal.
+
+    Every step draws ``standard_normal(n_paths)`` then ``random(n_paths)``.
+    The sign probability is evaluated only on the paths near 0, those whose
+    exponent -2*rho*|x|/h exceeds -64: beyond that the damping is below
+    2**-92, the probability rounds to exactly 1.0, and the path keeps its
+    side, so skipping it changes no bit of the result.  Once the paths have
+    spread out that is most of them, and ``exp`` of such hugely negative
+    arguments (zero or subnormal results) is what the step used to spend
+    its time on.
     """
     coeffs = SkewCoefficients(theta)
     if n_paths < 1:
@@ -241,12 +270,10 @@ def skew_chain_terminals(theta, grid: TimeGrid, seed: SeedSpec, n_paths: int):
     root_h = math.sqrt(h)
     x = np.zeros(n_paths)
     for _ in range(grid.n_steps):
-        side = np.where(x >= 0.0, 1.0, -1.0)
+        side = (x >= 0.0) * 2.0 - 1.0
         xa = np.abs(x)
         rho = np.abs(xa + root_h * rng.standard_normal(n_paths))
-        damp = np.exp(-2.0 * rho * xa / h)
-        p_plus = (1.0 + side * coeffs.theta * damp) / (1.0 + damp)
-        x = side * np.where(rng.random(n_paths) < p_plus, rho, -rho)
+        x = _signed_modulus(coeffs.theta, side, xa, rho, h, rng.random(n_paths))
     return x
 
 

@@ -148,6 +148,10 @@ def ks_test(samples, cdf: Callable) -> tuple[float, float]:
     return d, min(max(p, 0.0), 1.0)
 
 
+#: Largest exit level, in lattice sites, that :func:`exit_probability` runs.
+MAX_EXIT_LEVEL = 1000
+
+
 def exit_probability(
     theta: float, eps: float, n_paths: int, h: float, seed: SeedSpec
 ) -> EstimatorResult:
@@ -158,6 +162,12 @@ def exit_probability(
     path has left the interval.  The limiting answer (1+theta)/2 is also the
     exact lattice answer for every exit level, so the estimate carries
     binomial noise only.
+
+    A walk needs about level**2 steps to leave, level = ceil(eps/sqrt(h))
+    lattice sites, so the exit level is capped at ``MAX_EXIT_LEVEL`` = 1000
+    (10**6 expected steps, about 1000 times the 32**2 of the verify protocol
+    and the CLI defaults); a finer step or a wider band raises
+    :class:`ValueError` before the loop starts.
     """
     if not (-1.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [-1, 1], got {theta}")
@@ -165,15 +175,22 @@ def exit_probability(
     _require_positive("h", h)
     if int(n_paths) < 2:
         raise ValueError("need at least 2 paths")
-    if h > eps**2 / 100.0:
+    sites = eps / math.sqrt(h)
+    if not sites <= MAX_EXIT_LEVEL:
+        raise ValueError(
+            f"eps/sqrt(h) = {sites:.4g} lattice sites to the exit level; a walk needs about "
+            f"{sites * sites:.3g} steps to leave, over the ceiling of {MAX_EXIT_LEVEL**2:.0e} "
+            f"(exit level {MAX_EXIT_LEVEL}); use a coarser h or a smaller eps"
+        )
+    if h > eps * eps / 100.0:
         warnings.warn(
-            f"h = {h} is coarse relative to eps^2 = {eps**2}; "
+            f"h = {h} is coarse relative to eps^2 = {eps * eps}; "
             "the walk exits in only ~eps^2/h steps",
             stacklevel=2,
         )
     rng = seed.generator()
     beta_plus = (1.0 + theta) / 2.0
-    level = max(int(math.ceil(eps / math.sqrt(h))), 1)
+    level = max(int(math.ceil(sites)), 1)
 
     position = np.zeros(int(n_paths), dtype=np.int64)
     exited_top = np.zeros(int(n_paths), dtype=bool)

@@ -221,6 +221,14 @@ class TestScalarCommands:
         assert float(record["target"]) == 1.0
 
 
+@pytest.mark.parametrize("eps, step_h", [("1", "1e-10"), ("1e200", "1e-5")])
+def test_exit_prob_over_the_step_ceiling_exits_2(tmp_path, capsys, eps, step_h):
+    argv = ["exit-prob", "--eps", eps, "--step-h", step_h, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "ceiling" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "argv",

@@ -1,5 +1,6 @@
 """The verify scheduler: check units over forked workers, reports in registry order."""
 
+import concurrent.futures
 import itertools
 import os
 import subprocess
@@ -81,6 +82,37 @@ def test_reports_come_back_in_registry_order(monkeypatch, workers):
     assert names == ["a0", "a1", "b0", "b1", "b2"]
 
 
+def test_heaviest_unit_is_submitted_first(monkeypatch):
+    submitted = []
+
+    class InProcessPool:
+        """Runs the units here, in the order the scheduler hands them out."""
+
+        def __init__(self, workers, mp_context=None):
+            pass
+
+        def map(self, fn, units):
+            submitted.extend(units)
+            return map(fn, submitted)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    light = _check((0.0, "a0"), (0.0, "a1"))(_sleepy)
+    heavy = _check((0.0, "b0"), (0.0, "b1"), (0.0, "b2"), seconds=(0.5, 7.0, 0.5))(_sleepy)
+    monkeypatch.setitem(SUITES, "heat", [light, heavy])
+    names = [r.check_name for r in run_suite("heat", workers=2)]
+    assert submitted == [("heat", 1, 1), ("heat", 1, 0), ("heat", 1, 2), ("heat", 0, 0), ("heat", 0, 1)]
+    assert names == ["a0", "a1", "b0", "b1", "b2"]
+
+
+def test_every_check_has_one_measured_time_per_unit():
+    for checks in SUITES.values():
+        for check in checks:
+            assert len(check.unit_seconds) == check.n_units, check.__name__
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_elapsed_is_the_sum_of_unit_seconds(monkeypatch, workers):
     monkeypatch.setattr(experiments, "time", _Clock())  # every unit takes 0.25 s
@@ -108,6 +140,15 @@ class TestWorkerFailures:
         monkeypatch.setitem(SUITES, "heat", [_check((None,), (ZeroDivisionError,))(_raising)])
         with pytest.raises(ZeroDivisionError, match="unit failed"):
             run_suite("heat", workers=2)
+        _no_child_left()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_key_error_in_check_reaches_caller(self, monkeypatch, tmp_path, workers):
+        # a crashing check is not an unknown suite name
+        monkeypatch.setitem(SUITES, "heat", [_check((None,), (KeyError,))(_raising)])
+        with pytest.raises(KeyError, match="unit failed"):
+            main(["verify", "--suite", "heat", "--workers", workers, "--out", str(tmp_path)])
+        assert not list(tmp_path.glob("verify_*.json"))
         _no_child_left()
 
     def test_failed_verdict_from_worker_exits_1(self, monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 """Skew walk construction, closed-form marginals, and exact samplers."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -245,6 +246,88 @@ class TestExactSamplers:
     def test_chain_stays_on_half_line_at_full_skew(self):
         draws = skew_chain_terminals(1.0, make_grid(1.0, 100), SeedSpec(33), 5000)
         assert np.all(draws >= 0.0)
+
+
+def chain_terminals_all_paths(theta, grid, seed, n_paths):
+    """Reference chain: the damped sign probability evaluated on every path at every step."""
+    rng = seed.generator()
+    h = grid.h
+    root_h = math.sqrt(h)
+    x = np.zeros(n_paths)
+    for _ in range(grid.n_steps):
+        side = np.where(x >= 0.0, 1.0, -1.0)
+        xa = np.abs(x)
+        rho = np.abs(xa + root_h * rng.standard_normal(n_paths))
+        damp = np.exp(-2.0 * rho * xa / h)
+        p_plus = (1.0 + side * float(theta) * damp) / (1.0 + damp)
+        x = side * np.where(rng.random(n_paths) < p_plus, rho, -rho)
+    return x
+
+
+def transition_sample_all_paths(theta, x_start, t, seed, size):
+    """Reference two-stage transition: the damped sign probability on every draw."""
+    rng = seed.generator()
+    mirrored = x_start < 0
+    a = abs(x_start)
+    th = -theta if mirrored else theta
+    rho = np.abs(a + math.sqrt(t) * rng.standard_normal(size))
+    damp = np.exp(-2.0 * rho * a / t)
+    p_plus = (1.0 + th * damp) / (1.0 + damp)
+    draws = np.where(rng.random(size) < p_plus, rho, -rho)
+    return -draws if mirrored else draws
+
+
+#: sha256 of skew_chain_terminals(theta, make_grid(1.0, 400), SeedSpec(4242), 3000).tobytes(),
+#: recorded with the sign probability evaluated on every path
+CHAIN_GOLDEN = {
+    0.0: "a13ba850087f1165d4f7ac634a8362209e8a05699ae289705369bff2a338dfc3",
+    0.5: "cd3cb48b5122ef3038e16818b53cf0e2ca76ebbafb06c3562fc2c300054ed14b",
+    1.0: "a1e1a4b008c50a8e45676a11981143717d3bb39cb2878961a47f33e7adac3dd8",
+    -0.7: "073e8fd4dc2c600eaf4b217fcd6ebdb55f0bc52d4284af2047a4856abf2b62c5",
+    -1.0: "bec2d12439b96deb542b1b785cecdbabcde15b4ace84f8d7fd80601bf6188c23",
+}
+
+
+class TestChainKernel:
+    """The chained transition draws the same bits whichever paths evaluate the damping."""
+
+    @pytest.mark.parametrize("theta", sorted(CHAIN_GOLDEN))
+    def test_golden_bytes(self, theta):
+        x = skew_chain_terminals(theta, make_grid(1.0, 400), SeedSpec(4242), 3000)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == CHAIN_GOLDEN[theta]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0),
+        t_end=st.floats(1e-3, 10.0),
+        n_steps=st.integers(1, 300),
+        n_paths=st.integers(1, 200),
+        master=SEEDS,
+    )
+    def test_equals_all_paths_step(self, theta, t_end, n_steps, n_paths, master):
+        grid = make_grid(t_end, n_steps)
+        got = skew_chain_terminals(theta, grid, SeedSpec(master), n_paths)
+        want = chain_terminals_all_paths(theta, grid, SeedSpec(master), n_paths)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0),
+        x_start=st.sampled_from([0.0, -0.0]) | st.floats(-50.0, 50.0),
+        t=st.floats(1e-3, 10.0),
+        size=st.integers(1, 200),
+        master=SEEDS,
+    )
+    def test_transition_sample_equals_all_paths_draw(self, theta, x_start, t, size, master):
+        got = skew_transition_sample(theta, x_start, t, SeedSpec(master), size=size)
+        want = transition_sample_all_paths(theta, x_start, t, SeedSpec(master), size)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_transition_sample_keeps_the_requested_shape(self):
+        got = skew_transition_sample(0.6, -0.4, 0.1, SeedSpec(35), size=(3, 50))
+        want = transition_sample_all_paths(0.6, -0.4, 0.1, SeedSpec(35), (3, 50))
+        assert got.shape == (3, 50)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestOscillatingTransform:

@@ -105,6 +105,12 @@ class TestExitProbability:
         with pytest.raises(ValueError):
             exit_probability(0.5, eps=0.0, n_paths=10, h=1e-4, seed=SeedSpec(1))
 
+    @pytest.mark.parametrize("eps, h", [(1.0, 1e-10), (0.1001, 1e-8), (1e200, 1e-5)])
+    def test_exit_level_over_the_ceiling_rejected_before_the_loop(self, eps, h):
+        # 1e10, ~1.002e6 and ~1e405 expected steps; the verify protocol's level is 32
+        with pytest.raises(ValueError, match="ceiling"):
+            exit_probability(0.0, eps=eps, n_paths=20, h=h, seed=SeedSpec(1))
+
 
 class _StubExperiment:
     def __init__(self, name, profiles):
