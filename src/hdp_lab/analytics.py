@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Path, SeedSpec, TimeGrid, _require_positive
+from .core import Path, SeedSpec, TimeGrid, _require_positive, _skip_doubles
 from .skew import SkewCoefficients
 
 __all__ = [
@@ -163,16 +163,30 @@ def reversed_drift_reflected(s: float, z: float) -> float:
 
 
 def _bridge_draws(rng, m: int):
-    """Per-step draw functions (normals, uniforms) of the bridge core.
+    """Per-step draw functions (normals, uniforms, skipped uniforms) of the bridge core.
 
-    One shared generator draws m-vectors; a list of per-path generators
-    draws one scalar per path, so path j draws exactly what a one-path run
-    on its own stream draws.
+    One shared generator draws m-vectors, and skips m uniforms by moving its
+    stream past them without making them (:func:`~hdp_lab.core._skip_doubles`);
+    a list of per-path generators draws one scalar per path, so path j draws
+    exactly what a one-path run on its own stream draws, and skips by drawing.
     """
     if isinstance(rng, np.random.Generator):
-        return (lambda: rng.standard_normal(m)), (lambda: rng.random(m))
+        return (
+            lambda: rng.standard_normal(m),
+            lambda: rng.random(m),
+            lambda: _skip_doubles(rng, m),
+        )
     normals, uniforms = [g.standard_normal for g in rng], [g.random for g in rng]
-    return (lambda: np.array([f() for f in normals])), (lambda: np.array([f() for f in uniforms]))
+    uniform = lambda: np.array([f() for f in uniforms])
+    return (lambda: np.array([f() for f in normals])), uniform, uniform
+
+
+#: A bridge step from g to g_new charges local time only where g*g_new <= 32*h.
+#: The local time is max(0, tail - amp) with amp = |g| + |g_new| and
+#: tail**2 = (g_new - g)**2 - 2h*log(1 - u); a uniform u <= 1 - 2**-53 bounds
+#: -2h*log(1 - u) by 73.5h, and amp**2 - (g_new - g)**2 = 4*g*g_new exceeds
+#: 128h beyond the bound, so there the step's local time is exactly 0.0.
+_CHARGE_BOUND = 32.0
 
 
 def _reversed_bridge_core(theta, b0, grid, rng, capture_step):
@@ -184,13 +198,22 @@ def _reversed_bridge_core(theta, b0, grid, rng, capture_step):
     step that charges local time re-draws the excursion sign with the skew
     split.  With ``capture_step`` None returns the recorded (skew,
     local-time) node arrays, else the captured slice plus total local time.
+
+    Every step draws a normal, a tail uniform and a sign uniform per path.
+    The tail, the sign refresh and the local-time update are evaluated only
+    on the paths with g*g_new <= 32*h (see ``_CHARGE_BOUND``); elsewhere the
+    step charges exactly 0.0, so the result is bit for bit that of
+    evaluating them on every path.  In capture mode the sign is not read
+    after the capture step, so a shared generator skips the sign uniforms
+    of the later steps instead of making them.
     """
     n = grid.n_steps
     h = grid.h
     horizon = grid.t_end
     m = b0.size
-    normal, uniform = _bridge_draws(rng, m)
+    normal, uniform, skip = _bridge_draws(rng, m)
     record = capture_step is None
+    charge_bound = _CHARGE_BOUND * h
     g = b0.copy()
     sign = np.where(b0 >= 0.0, 1.0, -1.0)
     beta_plus = (1.0 + theta) / 2.0
@@ -207,17 +230,25 @@ def _reversed_bridge_core(theta, b0, grid, rng, capture_step):
         # the final step has rem = h up to rounding; pin the ratio so the
         # bridge lands on 0 exactly instead of within sqrt(eps) of it
         ratio = max((rem - h) / rem, 0.0) if k < n - 1 else 0.0
-        g_new = g * ratio + math.sqrt(h * ratio) * normal()
-        gap2 = np.square(g_new - g)
-        amp = np.abs(g) + np.abs(g_new)
-        tail = np.sqrt(gap2 - 2.0 * h * np.log(1.0 - uniform()))
-        step_ell = np.maximum(0.0, tail - amp)
-        fresh = np.where(uniform() < beta_plus, 1.0, -1.0)
-        sign = np.where(step_ell > 0.0, fresh, sign)
-        ell += step_ell
+        g_new = normal()
+        g_new *= math.sqrt(h * ratio)
+        g_new += g * ratio
+        u_tail = uniform()
+        near = np.flatnonzero(g * g_new <= charge_bound)
+        g_near, g_new_near = g.take(near), g_new.take(near)
+        tail = np.sqrt(np.square(g_new_near - g_near) - 2.0 * h * np.log(1.0 - u_tail.take(near)))
+        step_ell = np.maximum(0.0, tail - (np.abs(g_near) + np.abs(g_new_near)))
+        charged = step_ell > 0.0
+        hit = near[charged]
+        ell[hit] += step_ell[charged]
+        if record or k < capture_step:
+            sign[hit] = np.where(uniform().take(hit) < beta_plus, 1.0, -1.0)
+        else:
+            skip()
         g = g_new
         if record:
-            skew_nodes[k + 1] = sign * np.abs(g)
+            np.abs(g, out=skew_nodes[k + 1])
+            skew_nodes[k + 1] *= sign
             ell_nodes[k + 1] = ell
         if capture_step == k + 1:
             cap_skew = sign * np.abs(g)

@@ -10,8 +10,8 @@ exit-prob   Monte Carlo band-exit probability with its closed-form target
 reverse     reversed (solution, driver) paths bridged from forward terminals
 
 Exit codes: 0 = success and every check passed; 1 = a verification or a
-per-row domain check failed; 2 = usage or configuration error, or a verify
-worker process that died.  Options
+per-row domain check failed; 2 = usage or configuration error, a run whose
+arrays do not fit in memory, or a verify worker process that died.  Options
 resolve as flags first, then an optional ``KEY=VALUE`` config file
 (``--config``), then the ``HDP_LAB_SEED`` environment variable for the
 master seed, then built-in defaults.  CSV numbers carry 17 significant
@@ -541,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hdp-lab",
         description=__doc__.splitlines()[0],
         epilog=(
-            "exit codes: 0 all good, 1 verification/domain failure, 2 usage error. "
+            "exit codes: 0 all good, 1 verification/domain failure, "
+            "2 usage error, out of memory or a dead worker. "
             "Ensembles always land as CSV with a JSON manifest; verify reports are JSON."
         ),
     )
@@ -642,8 +643,11 @@ def main(argv=None) -> int:
         if workers is not None and workers < 1:
             raise CliError(f"--workers must be >= 1, got {workers}")
         return args.func(args, written)
-    except (CliError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, ValueError, OSError, MemoryError) as exc:
+        message = str(exc)
+        if isinstance(exc, MemoryError):
+            message = f"out of memory ({message})" if message else "out of memory"
+        print(f"error: {message}", file=sys.stderr)
         _cleanup(written)
         return 2
 

@@ -131,6 +131,38 @@ class SeedSpec:
         return SeedSpec(self.master_seed, self.stream_index + offset)
 
 
+#: 64-bit outputs per Philox4x64 counter value
+_PHILOX_BLOCK = 4
+
+
+def _skip_doubles(rng: np.random.Generator, m: int) -> None:
+    """Leave a Philox generator in the state ``rng.random(m)`` would, without making the values.
+
+    Every double takes one 64-bit output.  Philox serves them from a buffer
+    of the four outputs of its current counter; each refill first adds one
+    to the 256-bit counter.  So the skip uses up the buffer, adds the number
+    of whole blocks passed over to the counter, and draws the at most four
+    outputs read from the last block, which leaves that block in the buffer
+    as the draws would have.
+    """
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    left = m - (_PHILOX_BLOCK - state["buffer_pos"])
+    if left <= 0:
+        state["buffer_pos"] += m
+        bitgen.state = state
+        return
+    skipped = (left - 1) // _PHILOX_BLOCK
+    counter = state["state"]["counter"]  # four 64-bit words, least significant first
+    carry = skipped
+    for i in range(counter.size):
+        total = int(counter[i]) + carry
+        counter[i], carry = total & (2**64 - 1), total >> 64
+    state["buffer_pos"] = _PHILOX_BLOCK
+    bitgen.state = state
+    bitgen.random_raw(left - _PHILOX_BLOCK * skipped)
+
+
 def make_grid(t_end: float, n_steps: int) -> TimeGrid:
     """Validated constructor for a uniform grid on [0, t_end]."""
     return TimeGrid(t_end, n_steps)

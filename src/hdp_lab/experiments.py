@@ -103,7 +103,7 @@ def _check(*points: tuple, seconds: tuple = ()):
     return register
 
 
-@_check((-0.6, 1101), (0.0, 1102), (0.6, 1103), (1.0, 1104), seconds=(0.7, 0.7, 1.0, 0.7))
+@_check((-0.6, 1101), (0.0, 1102), (0.6, 1103), (1.0, 1104), seconds=(0.5, 0.4, 0.5, 0.4))
 def check_exit_probabilities(theta: float, master: int) -> list[VerificationReport]:
     """Exit through +eps from a symmetric band matches the skew split (1+theta)/2."""
     est = exit_probability(theta, eps=0.1, n_paths=20_000, h=1e-5, seed=SeedSpec(master))
@@ -225,7 +225,7 @@ def check_skew_residual_refinement() -> list[VerificationReport]:
     return [report]
 
 
-@_check((0.5,), (1.0,), seconds=(0.9, 0.9))
+@_check((0.5,), (1.0,), seconds=(0.8, 0.8))
 def check_alpha_zero_defect_slope(theta: float) -> list[VerificationReport]:
     """At alpha = 0 the residual grows as theta times the local time.
 
@@ -483,7 +483,7 @@ def check_heat_identity(theta: float) -> list[VerificationReport]:
     ]
 
 
-@_check((0.5,), (1.0,), seconds=(6.5, 6.2))
+@_check((0.5,), (1.0,), seconds=(5.2, 5.0))
 def check_time_reversal(theta: float) -> list[VerificationReport]:
     """Reversed ensembles reproduce the forward marginals at mid-horizon.
 
@@ -525,7 +525,7 @@ def check_time_reversal(theta: float) -> list[VerificationReport]:
     ]
 
 
-@_check((0.0, 3401), (0.5, 3402), seconds=(4.2, 5.1))
+@_check((0.0, 3401), (0.5, 3402), seconds=(4.1, 4.6))
 def check_pv_truncation(theta: float, master: int) -> list[VerificationReport]:
     """Principal-value truncations stabilize on Brownian paths and drift on skew ones."""
     eps_sequence = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -566,7 +566,7 @@ def check_pv_truncation(theta: float, master: int) -> list[VerificationReport]:
     ]
 
 
-@_check((0.0, 7301), (0.5, 7311), (1.0, 7321), seconds=(4.7, 4.6, 5.2))
+@_check((0.0, 7301), (0.5, 7311), (1.0, 7321), seconds=(4.3, 4.4, 4.4))
 def check_power_transform_law(theta: float, master: int) -> list[VerificationReport]:
     """The straightening transform of grid-simulated solutions is reflected BM in law."""
     alpha = 0.5

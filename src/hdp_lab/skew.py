@@ -116,6 +116,10 @@ def simulate_skew_pair(theta: float, x0: float, grid: TimeGrid, seed: SeedSpec) 
     L counts sqrt(h) per *arrival* at 0 (nodes k >= 1 with walk value 0).
     Under this convention the theta = +/-1 cases reduce exactly to
     driver minus running minimum / maximum.
+
+    The skew walk is signs[e] * |S| at a node of excursion e; the stretch
+    before the first zero (e = 0, empty when m0 = 0) takes sign(m0), so one
+    gather gives every node.
     """
     coeffs = SkewCoefficients(theta)  # validates theta
     rng = seed.generator()
@@ -126,7 +130,9 @@ def simulate_skew_pair(theta: float, x0: float, grid: TimeGrid, seed: SeedSpec) 
     m0 = int(round(x0 / root_h))
     x0_used = m0 * root_h
 
-    steps = rng.integers(0, 2, size=n, dtype=np.int64) * 2 - 1
+    steps = rng.integers(0, 2, size=n, dtype=np.int64)
+    steps *= 2
+    steps -= 1
     s_lattice = np.empty(n + 1, dtype=np.int64)
     s_lattice[0] = m0
     np.cumsum(steps, out=s_lattice[1:])
@@ -134,19 +140,22 @@ def simulate_skew_pair(theta: float, x0: float, grid: TimeGrid, seed: SeedSpec) 
 
     # excursion index at node k = number of zeros at nodes <= k;
     # index 0 = the stretch before the first zero, which keeps S's own sign
-    exc = np.cumsum(s_lattice == 0)
+    exc = (s_lattice == 0).astype(np.int64)
+    np.cumsum(exc, out=exc)
     n_zeros = int(exc[-1])
     if theta == 0.0 or n_zeros == 0:
-        w_lattice = s_lattice.astype(np.float64)
+        skew_values = s_lattice.astype(np.float64)
     else:
-        flips = np.where(rng.random(n_zeros) < coeffs.beta_plus, 1.0, -1.0)
-        signs = np.concatenate(([1.0], flips))[exc]
-        w_lattice = np.where(exc == 0, s_lattice, signs * np.abs(s_lattice))
-
-    skew_values = w_lattice * root_h
-    arrivals = exc - exc[0]  # zeros at nodes 1..k; a zero start is no arrival
-    local_time = arrivals * root_h
-    driver_values = skew_values - x0_used - theta * local_time
+        signs = np.empty(n_zeros + 1)
+        signs[0] = np.sign(m0)
+        signs[1:] = np.where(rng.random(n_zeros) < coeffs.beta_plus, 1.0, -1.0)
+        skew_values = signs[exc]
+        skew_values *= np.abs(s_lattice, out=s_lattice)
+    skew_values *= root_h
+    exc -= exc[0]  # arrivals: zeros at nodes 1..k; a zero start is no arrival
+    local_time = exc * root_h
+    driver_values = skew_values - x0_used
+    driver_values -= theta * local_time
 
     return CoupledSkewPath(
         grid=grid,
@@ -194,30 +203,25 @@ def oscillating_from_skew(coupled: CoupledSkewPath) -> Path:
     return Path(coupled.grid, y)
 
 
-#: At or below this exponent the damping exp(-2*rho*|x|/t) is under 2**-92, so
-#: 1 + theta*damp and 1 + damp both round to 1.0, the sign probability is
-#: exactly 1.0, and every uniform draw in [0, 1) keeps +rho.
-_FAR_EXPONENT = -64.0
+#: A draw from modulus xa to rho can leave its side only where rho*xa < 33*t.
+#: Beyond, the exponent -2*rho*xa/t of the damping is below -64 even after
+#: rounding, the damping is under 2**-92, 1 + theta*damp and 1 + damp both
+#: round to 1.0, the sign probability is exactly 1.0, and every uniform draw
+#: in [0, 1) keeps the side; evaluating it there would change no bit.
+_NEAR = 33.0
 
 
-def _signed_modulus(theta, side, xa, rho, t, u):
+def _sign_stage(theta, side, xa, rho, t, u):
     """side * (+rho or -rho): the sign stage of the exact skew-BM transition from side*xa.
 
     The draw keeps its side (side = +-1, xa >= 0) with probability
     (1 + side*theta*damp) / (1 + damp), damp = exp(-2*rho*xa/t), that is iff
-    the uniform ``u`` is below it.  The probability is evaluated only where
-    the exponent exceeds ``_FAR_EXPONENT``; elsewhere it is exactly 1.0, so
-    the result is bit for bit that of evaluating it on every draw.
+    the uniform ``u`` is below it.  Callers pass only the draws near 0
+    (``rho*xa < _NEAR*t``); on the others the result is side*rho.
     """
-    x = side * rho
-    arg = -2.0 * rho * xa / t
-    near = np.flatnonzero(arg > _FAR_EXPONENT)  # flat indices: take/put serve any shape
-    damp = np.exp(arg.take(near))
-    side_near = side.take(near)
-    p_plus = (1.0 + side_near * theta * damp) / (1.0 + damp)
-    rho_near = rho.take(near)
-    np.put(x, near, side_near * np.where(u.take(near) < p_plus, rho_near, -rho_near))
-    return x
+    damp = np.exp(-2.0 * rho * xa / t)
+    p_plus = (1.0 + side * theta * damp) / (1.0 + damp)
+    return side * np.where(u < p_plus, rho, -rho)
 
 
 def skew_transition_sample(theta, x_start, t, seed: SeedSpec, size=None):
@@ -227,7 +231,9 @@ def skew_transition_sample(theta, x_start, t, seed: SeedSpec, size=None):
     |x_start|, i.e. |N(|x_start|, t)|; conditionally on its value rho the sign
     is + with probability (1 + theta*exp(-2*rho*|x_start|/t)) /
     (1 + exp(-2*rho*|x_start|/t)).  Starts below 0 are handled through the
-    mirror symmetry (theta, x) -> (-theta, -x).
+    mirror symmetry (theta, x) -> (-theta, -x).  The sign probability is
+    evaluated only on the draws with rho*|x_start| < 33*t; on the others it
+    is exactly 1.0 (see ``_NEAR``).
 
     With ``size=None`` returns a float, otherwise an ndarray of that shape.
     """
@@ -236,9 +242,12 @@ def skew_transition_sample(theta, x_start, t, seed: SeedSpec, size=None):
     rng = seed.generator()
     a = abs(x_start)
     n = 1 if size is None else size
-    side = np.full(n, -1.0 if x_start < 0 else 1.0)
+    side = -1.0 if x_start < 0 else 1.0
     rho = np.abs(a + math.sqrt(t) * rng.standard_normal(n))
-    draws = _signed_modulus(coeffs.theta, side, a, rho, t, rng.random(n))
+    u = rng.random(n)
+    draws = side * rho
+    near = np.flatnonzero(rho * a < _NEAR * t)  # flat indices: take/put serve any shape
+    np.put(draws, near, _sign_stage(coeffs.theta, side, a, rho.take(near), t, u.take(near)))
     return float(draws[0]) if size is None else draws
 
 
@@ -254,13 +263,14 @@ def skew_chain_terminals(theta, grid: TimeGrid, seed: SeedSpec, n_paths: int):
     distribution-level tests on the terminal.
 
     Every step draws ``standard_normal(n_paths)`` then ``random(n_paths)``.
-    The sign probability is evaluated only on the paths near 0, those whose
-    exponent -2*rho*|x|/h exceeds -64: beyond that the damping is below
-    2**-92, the probability rounds to exactly 1.0, and the path keeps its
-    side, so skipping it changes no bit of the result.  Once the paths have
-    spread out that is most of them, and ``exp`` of such hugely negative
-    arguments (zero or subnormal results) is what the step used to spend
-    its time on.
+    The paths carry their modulus and side (+-1) from step to step, and the
+    value side*modulus is built once, at the end.  The sign stage runs only
+    on the paths near 0, those with rho*|x| < 33*h: elsewhere the damping
+    exp(-2*rho*|x|/h) is below 2**-92, the sign probability rounds to
+    exactly 1.0 and the path keeps its side, so skipping it changes no bit
+    of the result.  Once the paths have spread out that is most of them.
+    A path whose new value is a zero, of either sign, takes side +1, as
+    ``x >= 0`` gives it.
     """
     coeffs = SkewCoefficients(theta)
     if n_paths < 1:
@@ -268,12 +278,23 @@ def skew_chain_terminals(theta, grid: TimeGrid, seed: SeedSpec, n_paths: int):
     rng = seed.generator()
     h = grid.h
     root_h = math.sqrt(h)
-    x = np.zeros(n_paths)
+    near_bound = _NEAR * h
+    side = np.ones(n_paths)
+    xa = np.zeros(n_paths)
     for _ in range(grid.n_steps):
-        side = (x >= 0.0) * 2.0 - 1.0
-        xa = np.abs(x)
-        rho = np.abs(xa + root_h * rng.standard_normal(n_paths))
-        x = _signed_modulus(coeffs.theta, side, xa, rho, h, rng.random(n_paths))
+        rho = rng.standard_normal(n_paths)
+        rho *= root_h
+        rho += xa
+        np.abs(rho, out=rho)
+        u = rng.random(n_paths)
+        near = np.flatnonzero(rho * xa < near_bound)
+        x_near = _sign_stage(
+            coeffs.theta, side.take(near), xa.take(near), rho.take(near), h, u.take(near)
+        )
+        side.put(near, (x_near >= 0.0) * 2.0 - 1.0)
+        xa = rho
+    x = side * xa
+    x.put(near, x_near)  # the last step's values near 0, with the sign of a zero kept
     return x
 
 

@@ -161,7 +161,9 @@ def exit_probability(
     (1+theta)/2, symmetric elsewhere), all paths in lockstep, until every
     path has left the interval.  The limiting answer (1+theta)/2 is also the
     exact lattice answer for every exit level, so the estimate carries
-    binomial noise only.
+    binomial noise only.  Each iteration draws one uniform per live walker,
+    in path order; the positions of the live walkers are kept compact, in
+    that order, and shrink with them when walkers exit.
 
     A walk needs about level**2 steps to leave, level = ceil(eps/sqrt(h))
     lattice sites, so the exit level is capped at ``MAX_EXIT_LEVEL`` = 1000
@@ -192,19 +194,21 @@ def exit_probability(
     beta_plus = (1.0 + theta) / 2.0
     level = max(int(math.ceil(sites)), 1)
 
-    position = np.zeros(int(n_paths), dtype=np.int64)
     exited_top = np.zeros(int(n_paths), dtype=bool)
     alive = np.arange(int(n_paths))
+    position = np.zeros(int(n_paths), dtype=np.int64)  # of the walkers in alive, in its order
     while alive.size:
         u = rng.random(alive.size)
-        at_zero = position[alive] == 0
-        up = np.where(at_zero, u < beta_plus, u < 0.5)
-        position[alive] += np.where(up, 1, -1)
-        done = np.abs(position[alive]) >= level
-        if np.any(done):
-            finished = alive[done]
-            exited_top[finished] = position[finished] >= level
-            alive = alive[~done]
+        up = np.where(position == 0, u < beta_plus, u < 0.5)
+        position += up  # +1 up, -1 down
+        position += up
+        position -= 1
+        done = np.abs(position) >= level
+        if done.any():
+            exited_top[alive[done]] = position[done] >= level
+            keep = ~done
+            alive = alive[keep]
+            position = position[keep]
     return mc_mean_ci(exited_top.astype(float))
 
 

@@ -22,6 +22,7 @@ from hdp_lab import (
     skew_transition_sample,
 )
 from hdp_lab.analytics import (
+    _reversed_bridge_core,
     reversed_drift_reflected,
     reversed_drift_y,
     reversed_drift_z,
@@ -158,7 +159,7 @@ def bridge_ensembles(draw):
 
 
 class TestLockstepBridge:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(case=bridge_ensembles())
     def test_per_path_streams_match_single_path_bridges(self, case):
         theta, terminals, grid, seeds = case
@@ -172,6 +173,101 @@ class TestLockstepBridge:
     def test_seed_count_must_match_paths(self):
         with pytest.raises(ValueError, match="1 seeds for 2 paths"):
             reversed_bridge_ensemble(0.5, [0.1, 0.2], make_grid(1.0, 10), [SeedSpec(1)])
+
+
+def bridge_draws_every_path(rng, m):
+    """Reference draws: one shared generator draws m-vectors, per-path generators a scalar each."""
+    if isinstance(rng, np.random.Generator):
+        return (lambda: rng.standard_normal(m)), (lambda: rng.random(m))
+    normals, uniforms = [g.standard_normal for g in rng], [g.random for g in rng]
+    return (lambda: np.array([f() for f in normals])), (lambda: np.array([f() for f in uniforms]))
+
+
+def bridge_core_every_path(theta, b0, grid, rng, capture_step):
+    """Reference bridge core: tail, sign refresh and local time evaluated on every path at every step."""
+    n = grid.n_steps
+    h = grid.h
+    m = b0.size
+    normal, uniform = bridge_draws_every_path(rng, m)
+    record = capture_step is None
+    g = b0.copy()
+    sign = np.where(b0 >= 0.0, 1.0, -1.0)
+    beta_plus = (1.0 + theta) / 2.0
+    ell = np.zeros(m)
+    if record:
+        skew_nodes = np.empty((n + 1, m))
+        ell_nodes = np.empty((n + 1, m))
+        skew_nodes[0] = b0
+        ell_nodes[0] = 0.0
+    cap_skew = b0.copy() if capture_step == 0 else None
+    cap_ell = np.zeros(m) if capture_step == 0 else None
+    for k in range(n):
+        rem = grid.t_end - k * h
+        ratio = max((rem - h) / rem, 0.0) if k < n - 1 else 0.0
+        g_new = g * ratio + math.sqrt(h * ratio) * normal()
+        gap2 = np.square(g_new - g)
+        amp = np.abs(g) + np.abs(g_new)
+        tail = np.sqrt(gap2 - 2.0 * h * np.log(1.0 - uniform()))
+        step_ell = np.maximum(0.0, tail - amp)
+        fresh = np.where(uniform() < beta_plus, 1.0, -1.0)
+        sign = np.where(step_ell > 0.0, fresh, sign)
+        ell += step_ell
+        g = g_new
+        if record:
+            skew_nodes[k + 1] = sign * np.abs(g)
+            ell_nodes[k + 1] = ell
+        if capture_step == k + 1:
+            cap_skew = sign * np.abs(g)
+            cap_ell = ell.copy()
+    if record:
+        return skew_nodes, ell_nodes
+    return cap_skew, cap_ell, ell
+
+
+def stream_position(rng):
+    """Counter, buffer and buffer position of a Philox generator."""
+    state = rng.bit_generator.state
+    return state["state"]["counter"].tolist(), state["buffer"].tolist(), state["buffer_pos"]
+
+
+@st.composite
+def bridge_cores(draw):
+    """Core arguments as reversed_bridge_ensemble makes them: theta -> |theta|, mirrored starts."""
+    theta = draw(st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0))
+    n_paths = draw(st.integers(1, 40))
+    terminals = np.asarray(draw(st.lists(st.floats(-4.0, 4.0), min_size=n_paths, max_size=n_paths)))
+    b0 = -terminals if theta < 0.0 else terminals
+    if abs(theta) == 1.0:  # full skew keeps the skew value on theta's half-line
+        b0 = np.abs(b0)
+    grid = make_grid(draw(st.floats(0.01, 2.0)), draw(st.integers(1, 60)))
+    capture = draw(st.none() | st.sampled_from([0, grid.n_steps]) | st.integers(0, grid.n_steps))
+    master = draw(st.integers(0, 2**64 - 1))
+    per_path = draw(st.booleans())
+    return abs(theta), b0, grid, capture, master, per_path
+
+
+class TestBridgeCore:
+    """The bridge core gives the same bits, and leaves the streams in the same state,
+    whichever paths it evaluates the tail on and whether it makes the dead sign uniforms."""
+
+    @settings(max_examples=120)
+    @given(case=bridge_cores())
+    def test_equals_every_path_step(self, case):
+        theta, b0, grid, capture, master, per_path = case
+
+        def streams():
+            if per_path:
+                return [SeedSpec(master, j).generator() for j in range(b0.size)]
+            return SeedSpec(master).generator()
+
+        got_rng, want_rng = streams(), streams()
+        got = _reversed_bridge_core(theta, b0.copy(), grid, got_rng, capture)
+        want = bridge_core_every_path(theta, b0.copy(), grid, want_rng, capture)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+        for a, b in zip(got_rng, want_rng) if per_path else [(got_rng, want_rng)]:
+            assert stream_position(a) == stream_position(b)
 
 
 class TestHeatIdentity:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from hdp_lab import cli
 from hdp_lab.cli import main
 
 
@@ -256,6 +257,38 @@ class TestNonFiniteInputs:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
         assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+
+
+#: a count whose arrays need over 2**48 bytes, so that allocating them fails at
+#: once under any overcommit setting and no memory is touched
+HUGE = str(10**15)
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exit-prob", "--paths", HUGE],
+            ["simulate", "--family", "benchmark", "--steps", HUGE, "--paths", "1"],
+            ["reverse", "--paths", "3", "--steps", HUGE],
+            ["msd", "--paths", HUGE],
+        ],
+    )
+    def test_exits_2_with_one_line_and_no_file(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+    def test_partial_csv_is_removed(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_simulate_columns", exhausted)
+        argv = ["simulate", "--family", "skew", "--paths", "2", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not list(tmp_path.iterdir())
 
 
 class TestReverse:

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdp_lab import Path, SeedSpec, TimeGrid, make_grid, refine, sample_brownian
+from hdp_lab.core import _skip_doubles
 
 
 class TestTimeGrid:
@@ -117,3 +120,55 @@ class TestRefine:
         )
         assert abs(np.var(mids) - 0.25) < 4.0 * 0.25 * np.sqrt(2.0 / mids.size)
         assert abs(np.mean(mids)) < 4.0 * 0.5 / np.sqrt(mids.size)
+
+
+def _full_state(rng):
+    """Every field of a Philox generator's state, comparable with ==."""
+    state = rng.bit_generator.state
+    return (
+        state["state"]["counter"].tolist(),
+        state["state"]["key"].tolist(),
+        state["buffer"].tolist(),
+        state["buffer_pos"],
+        state["has_uint32"],
+        state["uinteger"],
+    )
+
+
+class TestSkipDoubles:
+    """Skipping m uniforms leaves the stream exactly where drawing them does."""
+
+    @settings(max_examples=300)
+    @given(
+        master=st.integers(0, 2**64 - 1),
+        stream=st.integers(0, 3),
+        prefix=st.lists(st.tuples(st.booleans(), st.integers(0, 9)), max_size=4),
+        buffer_pos=st.integers(0, 4),
+        below_carry=st.none() | st.integers(1, 12),
+        top_word=st.sampled_from([0, 7, 2**64 - 1]),
+        m=st.integers(0, 40) | st.integers(41, 5000),
+    )
+    def test_state_and_next_draws_equal_drawing(
+        self, master, stream, prefix, buffer_pos, below_carry, top_word, m
+    ):
+        def generator():
+            rng = SeedSpec(master, stream).generator()
+            if below_carry is not None:  # the skip carries through the 64-bit counter words
+                state = rng.bit_generator.state
+                state["state"]["counter"] = np.array(
+                    [2**64 - below_carry, 2**64 - 1, 2**64 - 1, top_word], dtype=np.uint64
+                )
+                rng.bit_generator.state = state
+            for normal, size in prefix:
+                (rng.standard_normal if normal else rng.random)(size)
+            state = rng.bit_generator.state
+            state["buffer_pos"] = buffer_pos
+            rng.bit_generator.state = state
+            return rng
+
+        drawn, skipped = generator(), generator()
+        drawn.random(m)
+        _skip_doubles(skipped, m)
+        assert _full_state(skipped) == _full_state(drawn)
+        np.testing.assert_array_equal(skipped.random(9), drawn.random(9))
+        np.testing.assert_array_equal(skipped.standard_normal(9), drawn.standard_normal(9))

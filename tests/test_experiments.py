@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -23,7 +24,8 @@ def _report(name, passed=True):
 
 
 def _without_elapsed(reports):
-    records = [report.to_dict() for report in reports]
+    """The reports as the JSON verify output holds them, without their wall-clock stamps."""
+    records = json.loads(json.dumps([report.to_dict() for report in reports]))
     for record in records:
         del record["metadata"]["elapsed_s"]
     return records
@@ -65,11 +67,22 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _recorded_one_worker_run(suite):
+    """The suite's reports in the golden verify file, recorded with every unit run in one process."""
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden" / "verify.json").read_text())
+    for record in golden[suite]:
+        record["metadata"].pop("elapsed_s", None)
+    return golden[suite]
+
+
 @pytest.mark.parametrize("suite", ["msd", "heat", "exit-prob"])
 def test_two_workers_match_one_worker(suite):
-    assert _without_elapsed(run_suite(suite, workers=2)) == _without_elapsed(
-        run_suite(suite, workers=1)
-    )
+    got = _without_elapsed(run_suite(suite, workers=2))
+    if suite == "exit-prob":  # a second run of its four units would double the test's time
+        want = _recorded_one_worker_run(suite)
+    else:
+        want = _without_elapsed(run_suite(suite, workers=1))
+    assert got == want
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -149,6 +162,15 @@ class TestWorkerFailures:
         with pytest.raises(KeyError, match="unit failed"):
             main(["verify", "--suite", "heat", "--workers", workers, "--out", str(tmp_path)])
         assert not list(tmp_path.glob("verify_*.json"))
+        _no_child_left()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_memory_error_in_check_exits_2(self, monkeypatch, tmp_path, capsys, workers):
+        monkeypatch.setitem(SUITES, "heat", [_check((None,), (MemoryError,))(_raising)])
+        argv = ["verify", "--suite", "heat", "--workers", workers, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: out of memory (unit failed)\n"
+        assert not list(tmp_path.iterdir())
         _no_child_left()
 
     def test_failed_verdict_from_worker_exits_1(self, monkeypatch, tmp_path):

@@ -58,7 +58,7 @@ def integrand_driver_pairs(draw):
 
 
 class TestPartitionSums:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(pair=integrand_driver_pairs())
     def test_forward_backward_bracket_identity(self, pair):
         integrand, driver = pair
@@ -73,7 +73,7 @@ class TestPartitionSums:
         exact = 0.5 * (x.values**2 - x.values[0] ** 2)
         np.testing.assert_allclose(sym, exact, atol=1e-12)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(pair=integrand_driver_pairs())
     def test_symmetric_is_average_of_one_sided(self, pair):
         integrand, driver = pair

@@ -66,7 +66,7 @@ class TestSkewCoefficients:
         assert co.beta_minus == 0.25
         assert co.kappa == 0.375
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(theta=THETAS, values=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20))
     def test_r_and_s_are_inverse(self, theta, values):
         if abs(theta) == 1.0:  # s is finite only on theta's half-line
@@ -95,7 +95,7 @@ class TestSimulateSkewPair:
         lattice = coupled.skew_B.values / root_h
         np.testing.assert_allclose(lattice, np.round(lattice), atol=1e-9)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(theta=THETAS, x0=st.floats(-1.0, 1.0), grid=GRIDS, master=SEEDS)
     def test_driver_satisfies_defining_relation(self, theta, x0, grid, master):
         # B = B^theta - x0 - theta * L node-wise, exactly
@@ -143,7 +143,7 @@ class TestSimulateSkewPair:
             coupled.skew_B.values, b - np.maximum.accumulate(b), atol=1e-12
         )
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(theta=THETAS, x0=st.floats(-1.0, 1.0), grid=GRIDS, master=SEEDS)
     def test_mirror_shares_modulus_and_local_time(self, theta, x0, grid, master):
         # the theta -> -theta walk on the same seed redraws excursion signs,
@@ -296,7 +296,7 @@ class TestChainKernel:
         x = skew_chain_terminals(theta, make_grid(1.0, 400), SeedSpec(4242), 3000)
         assert hashlib.sha256(x.tobytes()).hexdigest() == CHAIN_GOLDEN[theta]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         theta=st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0),
         t_end=st.floats(1e-3, 10.0),
@@ -310,7 +310,7 @@ class TestChainKernel:
         want = chain_terminals_all_paths(theta, grid, SeedSpec(master), n_paths)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         theta=st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0),
         x_start=st.sampled_from([0.0, -0.0]) | st.floats(-50.0, 50.0),
@@ -328,6 +328,57 @@ class TestChainKernel:
         want = transition_sample_all_paths(0.6, -0.4, 0.1, SeedSpec(35), (3, 50))
         assert got.shape == (3, 50)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def skew_pair_full_width(theta, x0, grid, seed):
+    """Reference skew walk: excursion signs put in by a full-width ``where``.
+
+    Returns the (driver, skew, local time) node arrays and the snapped start.
+    """
+    rng = seed.generator()
+    n = grid.n_steps
+    root_h = math.sqrt(grid.h)
+    m0 = int(round(x0 / root_h))
+    x0_used = m0 * root_h
+    steps = rng.integers(0, 2, size=n, dtype=np.int64) * 2 - 1
+    s_lattice = np.empty(n + 1, dtype=np.int64)
+    s_lattice[0] = m0
+    np.cumsum(steps, out=s_lattice[1:])
+    s_lattice[1:] += m0
+    exc = np.cumsum(s_lattice == 0)
+    n_zeros = int(exc[-1])
+    if theta == 0.0 or n_zeros == 0:
+        w_lattice = s_lattice.astype(np.float64)
+    else:
+        flips = np.where(rng.random(n_zeros) < (1.0 + theta) / 2.0, 1.0, -1.0)
+        signs = np.concatenate(([1.0], flips))[exc]
+        w_lattice = np.where(exc == 0, s_lattice, signs * np.abs(s_lattice))
+    skew_values = w_lattice * root_h
+    local_time = (exc - exc[0]) * root_h
+    driver_values = skew_values - x0_used - theta * local_time
+    return driver_values, skew_values, local_time, x0_used
+
+
+class TestSkewWalkKernel:
+    @settings(max_examples=80)
+    @given(
+        theta=THETAS | st.just(0.0),
+        start=st.sampled_from([0.0, -0.0])
+        | st.floats(-1.0, 1.0)
+        | st.tuples(st.integers(-4, 4), st.floats(-0.45, 0.45)),
+        grid=GRIDS,
+        master=SEEDS,
+    )
+    def test_equals_full_width_signs(self, theta, start, grid, master):
+        # a (sites, fraction) start lies that many lattice sites from 0, off the
+        # lattice, so the walk often reaches 0 after a stretch on the start's side
+        x0 = (start[0] + start[1]) * math.sqrt(grid.h) if isinstance(start, tuple) else start
+        coupled = simulate_skew_pair(theta, x0, grid, SeedSpec(master))
+        got = (coupled.driver_B.values, coupled.skew_B.values, coupled.local_time_L.values)
+        *want, x0_used = skew_pair_full_width(theta, x0, grid, SeedSpec(master))
+        assert coupled.x0 == x0_used
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestOscillatingTransform:

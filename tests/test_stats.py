@@ -1,7 +1,12 @@
 """Estimators, the KS machinery, exit probabilities, refinement studies."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from hdp_lab import (
@@ -110,6 +115,43 @@ class TestExitProbability:
         # 1e10, ~1.002e6 and ~1e405 expected steps; the verify protocol's level is 32
         with pytest.raises(ValueError, match="ceiling"):
             exit_probability(0.0, eps=eps, n_paths=20, h=h, seed=SeedSpec(1))
+
+
+def exit_fraction_gather_scatter(theta, level, n_paths, seed):
+    """Reference exit loop: every walker's position, gathered and scattered through the live index."""
+    rng = seed.generator()
+    beta_plus = (1.0 + theta) / 2.0
+    position = np.zeros(n_paths, dtype=np.int64)
+    exited_top = np.zeros(n_paths, dtype=bool)
+    alive = np.arange(n_paths)
+    while alive.size:
+        u = rng.random(alive.size)
+        at_zero = position[alive] == 0
+        up = np.where(at_zero, u < beta_plus, u < 0.5)
+        position[alive] += np.where(up, 1, -1)
+        done = np.abs(position[alive]) >= level
+        if np.any(done):
+            finished = alive[done]
+            exited_top[finished] = position[finished] >= level
+            alive = alive[~done]
+    return mc_mean_ci(exited_top.astype(float))
+
+
+class TestExitLoop:
+    @settings(max_examples=60)
+    @given(
+        theta=st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0),
+        eps=st.floats(0.001, 0.15),
+        n_paths=st.integers(2, 400),
+        master=st.integers(0, 2**64 - 1),
+    )
+    def test_equals_gather_scatter_loop(self, theta, eps, n_paths, master):
+        h = 1e-4
+        level = max(int(math.ceil(eps / math.sqrt(h))), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # few lattice sites to the exit is the point
+            got = exit_probability(theta, eps=eps, n_paths=n_paths, h=h, seed=SeedSpec(master))
+        assert got == exit_fraction_gather_scatter(theta, level, n_paths, SeedSpec(master))
 
 
 class _StubExperiment:
