@@ -11,7 +11,12 @@ reverse     reversed (solution, driver) paths bridged from forward terminals
 
 Exit codes: 0 = success and every check passed; 1 = a verification or a
 per-row domain check failed; 2 = usage or configuration error, a run whose
-arrays do not fit in memory, or a verify worker process that died.  Options
+arrays do not fit in memory, or a worker process that died.  ``--workers``
+sets the processes a command runs on: ``verify`` spreads its units over
+them; ``simulate`` and ``reverse`` split their paths into contiguous ranges,
+write the first straight into the CSV and have forked workers write the
+others to part files, appended in path order.  Each path draws from its own
+stream, so the bytes do not depend on the worker count.  Options
 resolve as flags first, then an optional ``KEY=VALUE`` config file
 (``--config``), then the ``HDP_LAB_SEED`` environment variable for the
 master seed, then built-in defaults.  CSV numbers carry 17 significant
@@ -23,6 +28,7 @@ are removed when a command fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -33,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .analytics import joint_density_BL, joint_density_YB, msd, reversed_bridge_ensemble
-from .core import SeedSpec, make_grid, sample_brownian
+from .core import SeedSpec, _fork_pool, make_grid, sample_brownian
 from .experiments import SUITES, run_suite
 from .skew import (
     SkewCoefficients,
@@ -190,6 +196,83 @@ def _write_json(path: str, payload, written: list) -> None:
 
 
 # ---------------------------------------------------------------------------
+# ensembles: simulate and reverse
+
+#: path-steps (paths x steps) a forked ensemble worker must get by default.
+#: Measured on 2 CPUs at 20 and 100 paths: two processes took as long as one
+#: at 20 000 path-steps in all, and about 0.8 of its time at 40 000.
+_FORK_PATH_STEPS = 20_000
+
+#: fewest paths a forked reverse worker gets by default.  A lockstep bridge
+#: step costs about as much for one path as for eight, so a narrower split
+#: only runs the same steps twice: at 80 000 path-steps on 2 CPUs, two
+#: processes were slower than one up to 8 paths and faster from 16.
+_BRIDGE_WORKER_PATHS = 8
+
+#: most paths per reversed_bridge_ensemble call in reverse, so that its two
+#: (steps + 1) x paths node arrays do not grow with the ensemble
+_BRIDGE_BATCH = 100
+
+
+def _ensemble_workers(args, paths: int, steps: int, worker_paths: int = 1) -> int:
+    """``--workers`` capped at the path count.
+
+    By default one per CPU, but only as many as each get ``_FORK_PATH_STEPS``
+    path-steps and ``worker_paths`` paths, and at least one.
+    """
+    workers = _resolve(args, "workers")
+    if workers is None:
+        cpus = len(os.sched_getaffinity(0))
+        workers = max(1, min(cpus, paths // worker_paths, paths * steps // _FORK_PATH_STEPS))
+    return min(workers, paths)
+
+
+def _write_ensemble(
+    csv_path: str, header: list, written: list, paths: int, workers: int, write_range
+) -> None:
+    """Write an ensemble CSV whose blocks ``write_range(fh, start, stop)`` writes for paths [start, stop).
+
+    With one worker this process writes every block.  Otherwise the paths
+    split into ``workers`` contiguous ranges: this process writes the first
+    straight into the CSV while forked workers write the others to part
+    files beside it, which are then appended in path order by a kernel-side
+    copy and deleted.  Every path draws from its own stream, so the bytes do
+    not depend on the split.  The part files are registered in ``written``,
+    so a failed run leaves none behind.
+    """
+    bounds = [paths * k // workers for k in range(workers + 1)]
+    with _open_csv(csv_path, header, written) as fh:
+        if workers == 1:
+            write_range(fh, 0, paths)
+            return
+        parts = [f"{csv_path}.part{k}" for k in range(1, workers)]
+        written.extend(parts)
+        fh.flush()  # the workers inherit the handle: nothing may sit in its buffer
+        with _fork_pool(workers - 1, "ensemble") as pool:
+            futures = [
+                pool.submit(_write_part, part, write_range, bounds[k], bounds[k + 1])
+                for k, part in enumerate(parts, start=1)
+            ]
+            write_range(fh, bounds[0], bounds[1])
+            for future in futures:
+                future.result()
+        fh.flush()
+        for part in parts:
+            with open(part, "rb") as src:
+                offset = 0
+                # one sendfile call copies at most about 2 GiB
+                while sent := os.sendfile(fh.fileno(), src.fileno(), offset, 1 << 30):
+                    offset += sent
+            os.unlink(part)
+
+
+def _write_part(path: str, write_range, start: int, stop: int) -> None:
+    """A forked worker's share: the blocks of paths [start, stop) in their own file."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write_range(fh, start, stop)
+
+
+# ---------------------------------------------------------------------------
 # simulate
 
 
@@ -231,6 +314,12 @@ def _simulate_columns(family, params, windows, grid, seed):
     return (brownian.values, brownian.values + shift, zeros, solution.values)
 
 
+def _simulate_range(family, params, windows, grid, master, template, fh, start, stop) -> None:
+    for index in range(start, stop):
+        columns = _simulate_columns(family, params, windows, grid, SeedSpec(master, index))
+        _write_block(fh, index, template, columns)
+
+
 def cmd_simulate(args, written: list) -> int:
     family = _resolve(args, "family")
     if family not in FAMILIES:
@@ -253,10 +342,13 @@ def cmd_simulate(args, written: list) -> int:
     template = _block_template(grid.times(), 4)
     out = _outdir(args)
     csv_path = os.path.join(out, "paths.csv")
-    with _open_csv(csv_path, ["path_id", "t", "B", "B_theta", "L", "X"], written) as fh:
-        for index in range(paths):
-            columns = _simulate_columns(family, params, (window_a, window_b), grid, SeedSpec(master, index))
-            _write_block(fh, index, template, columns)
+    write_range = functools.partial(
+        _simulate_range, family, params, (window_a, window_b), grid, master, template
+    )
+    _write_ensemble(
+        csv_path, ["path_id", "t", "B", "B_theta", "L", "X"], written,
+        paths, _ensemble_workers(args, paths, steps), write_range,
+    )
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
@@ -453,6 +545,14 @@ def cmd_exit_prob(args, written: list) -> int:
 # reverse
 
 
+def _reverse_range(theta, terminals, grid, seeds, template, fh, start, stop) -> None:
+    for lo in range(start, stop, _BRIDGE_BATCH):
+        hi = min(lo + _BRIDGE_BATCH, stop)
+        ys, zs = reversed_bridge_ensemble(theta, terminals[lo:hi], grid, seeds[lo:hi])
+        for j in range(hi - lo):
+            _write_block(fh, lo + j, template, (ys[j], zs[j]))
+
+
 def cmd_reverse(args, written: list) -> int:
     theta = _resolve(args, "theta")
     horizon = _resolve(args, "horizon")
@@ -482,13 +582,14 @@ def cmd_reverse(args, written: list) -> int:
         )
         streams = range(paths, 2 * paths)
     bridge_seeds = [SeedSpec(master, stream) for stream in streams]
-    ys, zs = reversed_bridge_ensemble(theta, terminals, grid, bridge_seeds)
     template = _block_template(grid.times(), 2)
     out = _outdir(args)
     csv_path = os.path.join(out, "reversed_paths.csv")
-    with _open_csv(csv_path, ["path_id", "s", "Y", "Z"], written) as fh:
-        for index in range(paths):
-            _write_block(fh, index, template, (ys[index], zs[index]))
+    write_range = functools.partial(_reverse_range, theta, terminals, grid, bridge_seeds, template)
+    _write_ensemble(
+        csv_path, ["path_id", "s", "Y", "Z"], written,
+        paths, _ensemble_workers(args, paths, steps, _BRIDGE_WORKER_PATHS), write_range,
+    )
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
@@ -530,8 +631,10 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        help="verify: processes running the suite's units, >= 1 [one per CPU, at most one per unit]; "
-        "simulate and reverse always run in one process",
+        help="processes to run on, >= 1: verify splits its units over them, simulate and reverse "
+        "their paths [one per CPU, at most one per unit or path; for simulate and reverse only as "
+        f"many as get {_FORK_PATH_STEPS} path-steps each, for reverse also {_BRIDGE_WORKER_PATHS} "
+        "paths each]; CSV bytes do not depend on it",
     )
     parser.add_argument("--config", help="KEY=VALUE config file; flags win over the file")
 

@@ -4,11 +4,14 @@ Every stochastic routine in the package draws from a counter-based Philox
 generator addressed by ``(master_seed, stream_index)``.  Stream k is the
 master generator jumped ahead k times, so ensemble members are independent
 and bit-for-bit reproducible regardless of the order in which they are
-simulated (or of how work is split across processes).
+simulated (or of how work is split across processes).  ``_fork_pool`` is
+the one process pool that splits it, for ``verify`` units and ensemble
+path ranges alike.
 """
 
 from __future__ import annotations
 
+import contextlib
 import operator
 from dataclasses import dataclass, field
 
@@ -161,6 +164,31 @@ def _skip_doubles(rng: np.random.Generator, m: int) -> None:
     state["buffer_pos"] = _PHILOX_BLOCK
     bitgen.state = state
     bitgen.random_raw(left - _PHILOX_BLOCK * skipped)
+
+
+@contextlib.contextmanager
+def _fork_pool(workers: int, what: str):
+    """A process pool of ``workers`` forked processes, every one joined on exit.
+
+    Forked, not spawned: workers start without importing numpy and scipy
+    again and see the module state as it is here, and the pool forks them
+    all before it starts a thread of its own.  The pool modules are imported
+    only here, so importing the package starts no pool machinery.  A worker
+    that dies raises :class:`ChildProcessError` naming the ``what`` pool; on
+    any exit the pending tasks are cancelled and every worker is joined.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool
+    except BrokenProcessPool as exc:
+        message = f"a worker process of the {what} pool died before its work finished ({exc})"
+        raise ChildProcessError(message) from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def make_grid(t_end: float, n_steps: int) -> TimeGrid:

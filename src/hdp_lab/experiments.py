@@ -39,7 +39,7 @@ from .analytics import (
     msd,
     reversed_bridge_ensemble,
 )
-from .core import Path, SeedSpec, make_grid, sample_brownian
+from .core import Path, SeedSpec, _fork_pool, make_grid, sample_brownian
 from .integrals import (
     PvReport,
     bracket_convergence,
@@ -628,25 +628,14 @@ def _run_pool(units: list, workers: int) -> list:
 
     The units are handed out heaviest first by their measured seconds (ties
     in registry order), so no long unit starts while the other workers run
-    out of work.  Forked, not spawned: workers start without importing numpy
-    and scipy again and see the registry as it is here, and the pool forks
-    them all before it starts a thread of its own.  Every worker is joined
-    before this returns, also when a unit raises.
+    out of work.  The workers are forked, so they see the registry as it is
+    here; every worker is joined before this returns, also when a unit
+    raises.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
     order = sorted(range(len(units)), key=lambda i: -_unit_seconds(units[i]))
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        results = pool.map(_run_unit, [units[i] for i in order])
-        by_unit = dict(zip(order, results))
-        return [by_unit[i] for i in range(len(units))]
-    except BrokenProcessPool as exc:
-        raise ChildProcessError(f"a verify worker process died before its unit finished ({exc})") from None
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    with _fork_pool(workers, "verify") as pool:
+        by_unit = dict(zip(order, pool.map(_run_unit, [units[i] for i in order])))
+    return [by_unit[i] for i in range(len(units))]
 
 
 def run_suite(name: str, workers: int | None = None) -> list[VerificationReport]:

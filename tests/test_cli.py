@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
 from hdp_lab import cli
+from hdp_lab.analytics import reversed_bridge_ensemble
 from hdp_lab.cli import main
 
 
@@ -423,3 +425,141 @@ class TestGoldenBytes:
         )
         assert rc == 0
         assert sha256_of(tmp_path / "reversed_paths.csv") == REVERSE_GOLDEN[(source, theta)]
+
+
+class TestWorkerCounts:
+    """Ensemble CSV bytes do not depend on how many processes write them."""
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    @pytest.mark.parametrize("family", sorted(SIMULATE_GOLDEN))
+    def test_simulate_csv_bytes(self, tmp_path, family, workers):
+        flags, digest = SIMULATE_GOLDEN[family]
+        rc = main(
+            ["simulate", "--family", family, *flags, "--paths", "3", "--steps", "40",
+             "--seed", "5", "--out", str(tmp_path), "--workers", workers]
+        )
+        assert rc == 0
+        assert sha256_of(tmp_path / "paths.csv") == digest
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "paths.csv"]
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    @pytest.mark.parametrize("source, theta", sorted(REVERSE_GOLDEN))
+    def test_reverse_csv_bytes(self, tmp_path, source, theta, workers):
+        rc = main(
+            ["reverse", "--theta", theta, "--terminal-from", source, "--paths", "4",
+             "--steps", "60", "--seed", "9", "--out", str(tmp_path), "--workers", workers]
+        )
+        assert rc == 0
+        assert sha256_of(tmp_path / "reversed_paths.csv") == REVERSE_GOLDEN[(source, theta)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "reversed_paths.csv"]
+
+    @pytest.mark.parametrize(
+        "command, csv_name",
+        [(["simulate", "--family", "skew", "--theta", "0.5"], "paths.csv"),
+         (["reverse", "--theta", "-0.5"], "reversed_paths.csv")],
+    )
+    @pytest.mark.parametrize("paths, workers", [("7", "3"), ("1", "2")])
+    def test_uneven_split_matches_one_worker(self, tmp_path, command, csv_name, paths, workers):
+        digests = []
+        for count in ("1", workers):
+            out = tmp_path / count
+            argv = [*command, "--paths", paths, "--steps", "25", "--seed", "4", "--out", str(out)]
+            assert main([*argv, "--workers", count]) == 0
+            digests.append(sha256_of(out / csv_name))
+        assert digests[0] == digests[1]
+
+    @pytest.fixture
+    def bridge_batches(self, monkeypatch):
+        """Path counts of the reversed_bridge_ensemble calls made in this process."""
+        sizes = []
+
+        def spy(theta, terminals, grid, seeds):
+            sizes.append(len(terminals))
+            return reversed_bridge_ensemble(theta, terminals, grid, seeds)
+
+        monkeypatch.setattr(cli, "reversed_bridge_ensemble", spy)
+        return sizes
+
+    def test_reverse_bridges_run_in_bounded_batches(self, tmp_path, monkeypatch, bridge_batches):
+        monkeypatch.setattr(cli, "_BRIDGE_BATCH", 3)
+        rc = main(
+            ["reverse", "--theta", "0.5", "--paths", "4", "--steps", "60", "--seed", "9",
+             "--out", str(tmp_path), "--workers", "1"]
+        )
+        assert rc == 0
+        assert bridge_batches == [3, 1]
+        assert sha256_of(tmp_path / "reversed_paths.csv") == REVERSE_GOLDEN[("explicit", "0.5")]
+
+    def test_reverse_batch_holds_at_most_the_constant(self, tmp_path, bridge_batches):
+        paths = cli._BRIDGE_BATCH + 1
+        rc = main(
+            ["reverse", "--paths", str(paths), "--steps", "2", "--out", str(tmp_path), "--workers", "1"]
+        )
+        assert rc == 0
+        assert bridge_batches == [cli._BRIDGE_BATCH, 1]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestEnsembleWorkerFailures:
+    def test_memory_error_in_a_worker_range_exits_2(self, tmp_path, monkeypatch, capsys):
+        simulate_columns = cli._simulate_columns
+
+        def exhausted_after_first(family, params, windows, grid, seed):
+            if seed.stream_index >= 1:  # the forked worker's range
+                raise MemoryError
+            return simulate_columns(family, params, windows, grid, seed)
+
+        monkeypatch.setattr(cli, "_simulate_columns", exhausted_after_first)
+        argv = ["simulate", "--family", "skew", "--paths", "2", "--steps", "20",
+                "--out", str(tmp_path), "--workers", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not list(tmp_path.iterdir())
+        _no_child_left()
+
+    def test_dead_worker_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        def dying(theta, terminals, grid, seeds):
+            if seeds[0].stream_index > 1:  # any range but the first
+                os._exit(1)
+            return reversed_bridge_ensemble(theta, terminals, grid, seeds)
+
+        monkeypatch.setattr(cli, "reversed_bridge_ensemble", dying)
+        argv = ["reverse", "--paths", "3", "--steps", "20", "--out", str(tmp_path), "--workers", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+        _no_child_left()
+
+    def test_narrow_reverse_forks_no_worker(self, tmp_path, monkeypatch):
+        forked = []
+        fork_pool = cli._fork_pool
+
+        def spy(workers, what):
+            forked.append(workers)
+            return fork_pool(workers, what)
+
+        monkeypatch.setattr(cli, "_fork_pool", spy)
+        monkeypatch.setattr(cli, "_FORK_PATH_STEPS", 1)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(4)))
+        for command in (["reverse"], ["simulate", "--family", "skew"]):
+            assert main([*command, "--paths", "7", "--steps", "5", "--out", str(tmp_path / command[0])]) == 0
+        assert forked == [3]  # simulate: this process and 3 forked workers; reverse: none
+
+    def test_default_worker_count(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(4)))
+        args = cli.build_parser().parse_args(["simulate"])
+        small = cli._FORK_PATH_STEPS
+        assert cli._ensemble_workers(args, 10, small // 10) == 1
+        assert cli._ensemble_workers(args, 10, 3 * small // 10) == 3
+        assert cli._ensemble_workers(args, 200, 2000) == 4
+        assert cli._ensemble_workers(args, 2, 10**9) == 2
+        assert cli._ensemble_workers(args, 7, 10**9, worker_paths=8) == 1
+        assert cli._ensemble_workers(args, 24, 10**9, worker_paths=8) == 3
+        args = cli.build_parser().parse_args(["simulate", "--workers", "8"])
+        assert cli._ensemble_workers(args, 5, 1) == 5
