@@ -11,13 +11,14 @@ reverse     reversed (solution, driver) paths bridged from forward terminals
 
 Exit codes: 0 = success and every check passed; 1 = a verification or a
 per-row domain check failed; 2 = usage or configuration error, a run whose
-arrays do not fit in memory, or a worker process that died.  ``--workers``
-sets the processes a command runs on: ``verify`` spreads its units over
+arrays do not fit in memory, a worker process that died, or an interrupt
+(Ctrl-C).  ``--workers`` sets the processes a command runs on, at most
+``WORKERS_PER_CPU`` per available CPU: ``verify`` spreads its units over
 them; ``simulate`` and ``reverse`` split their paths into contiguous ranges,
 write the first straight into the CSV and have forked workers write the
-others to part files, appended in path order.  Each path draws from its own
-stream, so the bytes do not depend on the worker count.  Options
-resolve as flags first, then an optional ``KEY=VALUE`` config file
+others to hidden part files beside it, appended in path order.  Each path
+draws from its own stream, so the bytes do not depend on the worker count.
+Options resolve as flags first, then an optional ``KEY=VALUE`` config file
 (``--config``), then the ``HDP_LAB_SEED`` environment variable for the
 master seed, then built-in defaults.  CSV numbers carry 17 significant
 digits so round-trips are bit-stable; JSON manifests carry a schema-version
@@ -33,6 +34,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -94,6 +96,10 @@ _SUBCOMMAND_DEFAULTS = {
     "exit-prob": {"paths": 20_000},
     "msd": {"paths": 0},
 }
+
+
+#: most ``--workers`` per available CPU; more only crowd the host with processes
+WORKERS_PER_CPU = 4
 
 
 class CliError(Exception):
@@ -237,16 +243,22 @@ def _write_ensemble(
     straight into the CSV while forked workers write the others to part
     files beside it, which are then appended in path order by a kernel-side
     copy and deleted.  Every path draws from its own stream, so the bytes do
-    not depend on the split.  The part files are registered in ``written``,
-    so a failed run leaves none behind.
+    not depend on the split.  The part files get new hidden names
+    (``.<csv name>.<random>``), so no file already there is overwritten, and
+    they are registered in ``written``, so a failed run leaves none behind.
     """
     bounds = [paths * k // workers for k in range(workers + 1)]
     with _open_csv(csv_path, header, written) as fh:
         if workers == 1:
             write_range(fh, 0, paths)
             return
-        parts = [f"{csv_path}.part{k}" for k in range(1, workers)]
-        written.extend(parts)
+        out, name = os.path.split(csv_path)
+        parts = []
+        for _ in range(1, workers):
+            fd, part = tempfile.mkstemp(prefix=f".{name}.", dir=out)
+            os.close(fd)
+            written.append(part)
+            parts.append(part)
         fh.flush()  # the workers inherit the handle: nothing may sit in its buffer
         with _fork_pool(workers - 1, "ensemble") as pool:
             futures = [
@@ -631,10 +643,10 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        help="processes to run on, >= 1: verify splits its units over them, simulate and reverse "
-        "their paths [one per CPU, at most one per unit or path; for simulate and reverse only as "
-        f"many as get {_FORK_PATH_STEPS} path-steps each, for reverse also {_BRIDGE_WORKER_PATHS} "
-        "paths each]; CSV bytes do not depend on it",
+        help=f"processes to run on, 1 to {WORKERS_PER_CPU} per available CPU: verify splits its "
+        "units over them, simulate and reverse their paths [one per CPU, at most one per unit or "
+        f"path; for simulate and reverse only as many as get {_FORK_PATH_STEPS} path-steps each, "
+        f"for reverse also {_BRIDGE_WORKER_PATHS} paths each]; CSV bytes do not depend on it",
     )
     parser.add_argument("--config", help="KEY=VALUE config file; flags win over the file")
 
@@ -645,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=__doc__.splitlines()[0],
         epilog=(
             "exit codes: 0 all good, 1 verification/domain failure, "
-            "2 usage error, out of memory or a dead worker. "
+            "2 usage error, out of memory, a dead worker or an interrupt. "
             "Ensembles always land as CSV with a JSON manifest; verify reports are JSON."
         ),
     )
@@ -743,16 +755,22 @@ def main(argv=None) -> int:
     try:
         args._config_values = _parse_config_file(args.config) if args.config else {}
         workers = _resolve(args, "workers")
-        if workers is not None and workers < 1:
-            raise CliError(f"--workers must be >= 1, got {workers}")
+        limit = WORKERS_PER_CPU * len(os.sched_getaffinity(0))
+        if workers is not None and not 1 <= workers <= limit:
+            raise CliError(
+                f"--workers must be from 1 to {limit} ({WORKERS_PER_CPU} per available CPU), "
+                f"got {workers}"
+            )
         return args.func(args, written)
+    except KeyboardInterrupt:
+        message = "interrupted"
     except (CliError, ValueError, OSError, MemoryError) as exc:
         message = str(exc)
         if isinstance(exc, MemoryError):
             message = f"out of memory ({message})" if message else "out of memory"
-        print(f"error: {message}", file=sys.stderr)
-        _cleanup(written)
-        return 2
+    print(f"error: {message}", file=sys.stderr)
+    _cleanup(written)
+    return 2
 
 
 def _cleanup(written: list) -> None:

@@ -16,6 +16,7 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # loaded here, not at the first draw: almost every command draws
 
 __all__ = [
     "TimeGrid",
@@ -170,23 +171,39 @@ def _skip_doubles(rng: np.random.Generator, m: int) -> None:
 def _fork_pool(workers: int, what: str):
     """A process pool of ``workers`` forked processes, every one joined on exit.
 
-    Forked, not spawned: workers start without importing numpy and scipy
-    again and see the module state as it is here, and the pool forks them
-    all before it starts a thread of its own.  The pool modules are imported
-    only here, so importing the package starts no pool machinery.  A worker
-    that dies raises :class:`ChildProcessError` naming the ``what`` pool; on
-    any exit the pending tasks are cancelled and every worker is joined.
+    Forked, not spawned: workers start with the modules imported here, in
+    their state as it is here, and the pool forks them all before it starts
+    a thread of its own.  A module the work imports only as it runs, every
+    worker imports again, so callers import it first (``run_suite`` imports
+    its checks' declared ``imports``).  The pool modules are imported only here, so importing the
+    package starts no pool machinery.  A worker that dies raises
+    :class:`ChildProcessError` naming the ``what`` pool; on any exit the
+    pending tasks are cancelled and every worker is joined.  Workers ignore
+    SIGINT: on a Ctrl-C, which reaches the whole process group, this process
+    alone gets the ``KeyboardInterrupt`` and ends them, so the shutdown does
+    not wait for their work.
     """
     import multiprocessing
+    import signal
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=signal.signal,
+        initargs=(signal.SIGINT, signal.SIG_IGN),
+    )
     try:
         yield pool
     except BrokenProcessPool as exc:
         message = f"a worker process of the {what} pool died before its work finished ({exc})"
         raise ChildProcessError(message) from None
+    except KeyboardInterrupt:
+        # the executor has no public call that ends its workers before Python 3.14
+        for process in list(pool._processes.values()):
+            process.terminate()
+        raise
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

@@ -21,6 +21,7 @@ measures the check's work, not the time its units overlapped.
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 import os
 import time
@@ -29,8 +30,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr
 
 from .analytics import (
     heat_check_density,
@@ -74,7 +73,7 @@ class _ResidualExperiment:
     residuals: Callable[[int], np.ndarray]
 
 
-def _check(*points: tuple, seconds: tuple = ()):
+def _check(*points: tuple, seconds: tuple = (), imports: tuple = ()):
     """Make ``unit(*point)`` a check with one unit per point (one unit, no arguments, if none).
 
     The check takes unit indices: ``check()`` runs every unit in order,
@@ -82,6 +81,10 @@ def _check(*points: tuple, seconds: tuple = ()):
     wall-clock seconds as ``elapsed_s``.  ``seconds`` are the units' serial
     seconds as measured (2 vCPUs), left out where they take a few hundredths;
     :func:`run_suite` hands the heaviest units to its workers first.
+    ``imports`` names the modules the units import inside their functions
+    (scipy's, which importing the package leaves unloaded): :func:`run_suite`
+    imports them before it forks its workers or runs the first unit, so no
+    worker imports them again and no ``elapsed_s`` includes them.
     """
     points = points or ((),)
 
@@ -98,6 +101,7 @@ def _check(*points: tuple, seconds: tuple = ()):
         del check.__wrapped__  # a check takes unit indices, not the unit's arguments
         check.n_units = len(points)
         check.unit_seconds = seconds or (0.0,) * len(points)
+        check.imports = imports
         return check
 
     return register
@@ -338,6 +342,8 @@ def check_mollified_bracket_convergence(label: str, f: Callable) -> list[Verific
 
 def _yb_mass(theta: float, t: float) -> float:
     """Total mass of the (Y, B) joint density by wedge-aware nested quadrature."""
+    from scipy import integrate
+
     coeffs = SkewCoefficients(theta)
     y_max = 14.0 * math.sqrt(t) / coeffs.beta_minus
 
@@ -357,6 +363,8 @@ def _yb_mass(theta: float, t: float) -> float:
 
 def _density_masses(theta: float, t: float) -> VerificationReport:
     """Both joint densities integrate to one at (theta, t)."""
+    from scipy import integrate
+
     bl_mass, _ = integrate.dblquad(
         lambda l, b: joint_density_BL(theta, t, 0.0, b, l),
         -12.0 * math.sqrt(t),
@@ -386,6 +394,8 @@ def _density_masses(theta: float, t: float) -> VerificationReport:
 
 def _yb_z_marginal(theta: float, t: float) -> VerificationReport:
     """Integrating y out of the (Y, B) joint density leaves the Gaussian in z."""
+    from scipy import integrate
+
     coeffs = SkewCoefficients(theta)
     worst = 0.0
     for z in np.linspace(-2.2, 2.2, 20):
@@ -422,6 +432,7 @@ def _yb_z_marginal(theta: float, t: float) -> VerificationReport:
     (_density_masses, 0.7, 1.0),
     (_yb_z_marginal, 0.7, 1.0),
     seconds=(0.7, 0.8, 0.6, 0.6, 0.1),
+    imports=("scipy.integrate",),
 )
 def check_density_normalizations(part: Callable, theta: float, t: float) -> list[VerificationReport]:
     """Joint densities integrate to one; the (Y, B) z-marginal is Gaussian."""
@@ -483,7 +494,7 @@ def check_heat_identity(theta: float) -> list[VerificationReport]:
     ]
 
 
-@_check((0.5,), (1.0,), seconds=(5.2, 5.0))
+@_check((0.5,), (1.0,), seconds=(5.2, 5.0), imports=("scipy.special",))
 def check_time_reversal(theta: float) -> list[VerificationReport]:
     """Reversed ensembles reproduce the forward marginals at mid-horizon.
 
@@ -492,6 +503,8 @@ def check_time_reversal(theta: float) -> list[VerificationReport]:
     tested against their forward laws at T/2 (the skew solution coordinate
     against the transformed skew cdf, the driver against the Gaussian).
     """
+    from scipy.special import ndtr
+
     horizon, n_steps, n_paths = 1.0, 10_000, 10_000
     capture = n_steps // 2
     grid = make_grid(horizon, n_steps)
@@ -566,9 +579,11 @@ def check_pv_truncation(theta: float, master: int) -> list[VerificationReport]:
     ]
 
 
-@_check((0.0, 7301), (0.5, 7311), (1.0, 7321), seconds=(4.3, 4.4, 4.4))
+@_check((0.0, 7301), (0.5, 7311), (1.0, 7321), seconds=(4.3, 4.4, 4.4), imports=("scipy.special",))
 def check_power_transform_law(theta: float, master: int) -> list[VerificationReport]:
     """The straightening transform of grid-simulated solutions is reflected BM in law."""
+    from scipy.special import ndtr
+
     alpha = 0.5
     grid = make_grid(1.0, 10_000)
     n_paths = 10_000
@@ -641,9 +656,10 @@ def _run_pool(units: list, workers: int) -> list:
 def run_suite(name: str, workers: int | None = None) -> list[VerificationReport]:
     """Run every check registered under a suite name ('all' runs everything).
 
-    The checks' units run in ``workers`` forked processes, by default one
-    per available CPU; never more workers than units start, and with one
-    worker the units run in this process, in order.  The reports come back
+    The modules the suites' checks declare are imported first, here.  The
+    checks' units run in ``workers`` forked processes, by default one per
+    available CPU; never more workers than units start, and with one worker
+    the units run in this process, in order.  The reports come back
     in registry order, each check's ``elapsed_s`` being the sum of its
     units' seconds.  A worker that dies raises :class:`ChildProcessError`.
     """
@@ -663,6 +679,9 @@ def run_suite(name: str, workers: int | None = None) -> list[VerificationReport]
         for index in range(check.n_units)
     ]
     workers = min(workers or len(os.sched_getaffinity(0)), len(units))
+    declared = {module for suite in names for check in SUITES[suite] for module in check.imports}
+    for module in sorted(declared):
+        importlib.import_module(module)
     if workers == 1:
         results = [_run_unit(unit) for unit in units]
     else:

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import Path, SeedSpec, TimeGrid, _require_positive
 
@@ -307,6 +306,8 @@ def skew_density(theta, t, b):
 
 def skew_cdf(theta, t, b):
     """Cumulative distribution of the time-t skew-BM marginal from 0."""
+    from scipy.special import ndtr
+
     SkewCoefficients(theta)
     _require_positive("t", t)
     b = np.asarray(b, dtype=float)

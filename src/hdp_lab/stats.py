@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import kolmogorov
 
 from .core import SeedSpec, _require_positive
 
@@ -139,6 +138,8 @@ def ks_test(samples, cdf: Callable) -> tuple[float, float]:
     Requires n >= 10; the p-value uses the Kolmogorov distribution evaluated
     at (sqrt(n) + 0.12 + 0.11/sqrt(n)) * D.
     """
+    from scipy.special import kolmogorov
+
     arr = np.asarray(samples, dtype=float)
     if arr.size < 10:
         raise ValueError("ks_test needs at least 10 samples")

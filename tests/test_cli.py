@@ -1,15 +1,23 @@
 """Command-line contract: files, manifests, exit codes, config precedence."""
 
+import concurrent.futures
+import contextlib
 import hashlib
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hdp_lab import cli
+from hdp_lab import cli, experiments
 from hdp_lab.analytics import reversed_bridge_ensemble
 from hdp_lab.cli import main
+from hdp_lab.stats import VerificationReport
 
 
 def read_manifest(directory):
@@ -563,3 +571,144 @@ class TestEnsembleWorkerFailures:
         assert cli._ensemble_workers(args, 24, 10**9, worker_paths=8) == 3
         args = cli.build_parser().parse_args(["simulate", "--workers", "8"])
         assert cli._ensemble_workers(args, 5, 1) == 5
+
+
+class _InProcessPool:
+    """A stand-in for the forked pool: runs every task here, at once."""
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+def _cheap_units(*names):
+    return [VerificationReport(name, 0.0, 0.0, 0.0, True, {}) for name in names]
+
+
+class TestWorkerCeiling:
+    """An explicit --workers above WORKERS_PER_CPU x the available CPUs exits 2 before any pool starts."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Sizes asked of the ensemble and verify pools, which fork nothing; one CPU available."""
+        sizes = []
+
+        @contextlib.contextmanager
+        def stand_in(workers, what):
+            sizes.append(workers)
+            yield _InProcessPool()
+
+        monkeypatch.setattr(cli, "_fork_pool", stand_in)
+        monkeypatch.setattr(experiments, "_fork_pool", stand_in)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        cheap = experiments._check(*[(f"unit {i}",) for i in range(6)])(_cheap_units)
+        monkeypatch.setitem(experiments.SUITES, "heat", [cheap])
+        return sizes
+
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate", "--family", "skew", "--paths", "5000", "--steps", "1"],
+         ["reverse", "--paths", "5000", "--steps", "1"],
+         ["verify", "--suite", "heat"]],
+    )
+    def test_above_the_ceiling_exits_2(self, tmp_path, capsys, pool_sizes, command):
+        per_cpu = cli.WORKERS_PER_CPU  # and the limit, on one CPU
+        assert main([*command, "--workers", str(per_cpu + 1), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: --workers must be from 1 to {per_cpu} ({per_cpu} per available CPU), "
+            f"got {per_cpu + 1}\n"
+        )
+        assert pool_sizes == []
+        assert not list(tmp_path.iterdir())
+        assert main([*command, "--workers", "5000", "--out", str(tmp_path)]) == 2
+        assert pool_sizes == []
+
+    def test_config_file_workers_meet_the_same_ceiling(self, tmp_path, pool_sizes):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"workers = {cli.WORKERS_PER_CPU + 1}\n")
+        argv = ["simulate", "--family", "skew", "--paths", "9", "--steps", "1", "--config", str(config)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert pool_sizes == []
+
+    def test_at_the_ceiling_the_pools_get_it(self, tmp_path, pool_sizes):
+        limit = str(cli.WORKERS_PER_CPU)
+        argv = ["simulate", "--family", "skew", "--paths", "5", "--steps", "40"]
+        assert main([*argv, "--workers", limit, "--out", str(tmp_path / "simulate")]) == 0
+        assert main(["verify", "--suite", "heat", "--workers", limit, "--out", str(tmp_path)]) == 0
+        assert pool_sizes == [cli.WORKERS_PER_CPU - 1, cli.WORKERS_PER_CPU]
+
+
+class TestPartFiles:
+    @pytest.mark.parametrize(
+        "command, csv_name, digest",
+        [(["simulate", "--family", "skew", *SIMULATE_GOLDEN["skew"][0], "--paths", "3", "--steps", "40",
+           "--seed", "5"], "paths.csv", SIMULATE_GOLDEN["skew"][1]),
+         (["reverse", "--theta", "0.5", "--paths", "4", "--steps", "60", "--seed", "9"],
+          "reversed_paths.csv", REVERSE_GOLDEN[("explicit", "0.5")])],
+    )
+    def test_a_user_file_named_like_a_part_survives(self, tmp_path, command, csv_name, digest):
+        keep = tmp_path / f"{csv_name}.part1"
+        keep.write_bytes(b"not a part file\n")
+        assert main([*command, "--workers", "2", "--out", str(tmp_path)]) == 0
+        assert keep.read_bytes() == b"not a part file\n"
+        assert sha256_of(tmp_path / csv_name) == digest
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["manifest.json", csv_name, keep.name]
+        )
+
+
+def _session_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestInterrupt:
+    def test_sigint_during_a_pooled_run_exits_2_and_leaves_nothing(self, tmp_path):
+        """Ctrl-C reaches the whole process group, as from a terminal, once a worker is writing."""
+        src = str(Path(__file__).parents[1] / "src")
+        code = "import sys; from hdp_lab.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["simulate", "--family", "skew", "--paths", "40", "--steps", "20000",
+                "--workers", "2", "--out", str(tmp_path)]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            while not any(p.stat().st_size for p in tmp_path.glob(".paths.csv.*")):
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline, "no worker wrote its part file"
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=30.0)
+            left_running = _session_alive(proc.pid)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode == 2
+        assert err == "error: interrupted\n"
+        assert not list(tmp_path.iterdir())
+        assert not left_running
+
+    def test_interrupt_in_process_cleans_up(self, tmp_path, monkeypatch, capsys):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_simulate_columns", interrupted)
+        argv = ["simulate", "--family", "skew", "--paths", "2", "--workers", "1", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert not list(tmp_path.iterdir())

@@ -1,12 +1,15 @@
 """Grid, path, and seeded-stream foundations."""
 
+import signal
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdp_lab import Path, SeedSpec, TimeGrid, make_grid, refine, sample_brownian
-from hdp_lab.core import _skip_doubles
+from hdp_lab.core import _fork_pool, _skip_doubles
 
 
 class TestTimeGrid:
@@ -172,3 +175,20 @@ class TestSkipDoubles:
         assert _full_state(skipped) == _full_state(drawn)
         np.testing.assert_array_equal(skipped.random(9), drawn.random(9))
         np.testing.assert_array_equal(skipped.standard_normal(9), drawn.standard_normal(9))
+
+
+class TestForkPool:
+    def test_workers_ignore_sigint(self):
+        with _fork_pool(1, "test") as pool:
+            assert pool.submit(signal.getsignal, signal.SIGINT).result() == signal.SIG_IGN
+
+    def test_interrupt_ends_a_busy_worker_at_once(self):
+        """The interrupted parent ends its workers; the shutdown does not wait out their work."""
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            with _fork_pool(1, "test") as pool:
+                busy = pool.submit(time.sleep, 60.0)
+                while not busy.running():
+                    time.sleep(0.01)
+                raise KeyboardInterrupt
+        assert time.monotonic() - start < 30.0

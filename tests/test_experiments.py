@@ -101,7 +101,7 @@ def test_heaviest_unit_is_submitted_first(monkeypatch):
     class InProcessPool:
         """Runs the units here, in the order the scheduler hands them out."""
 
-        def __init__(self, workers, mp_context=None):
+        def __init__(self, workers, mp_context=None, initializer=None, initargs=()):
             pass
 
         def map(self, fn, units):
