@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Path, SeedSpec, TimeGrid, _require_positive, _skip_doubles
-from .skew import SkewCoefficients
+from .skew import SkewCoefficients, _require_theta
 
 __all__ = [
     "IntegrabilityFlags",
@@ -102,7 +102,7 @@ def msd(alpha: float, theta: float, t: float) -> float:
     """
     if not (-1.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie strictly inside (-1, 1), got {alpha}")
-    SkewCoefficients(theta)
+    _require_theta(theta)
     _require_positive("t", t)
     q = 1.0 / (1.0 - alpha)
     try:

@@ -181,17 +181,50 @@ def _write_rows(path: str, header: list, rows, written: list) -> None:
         fh.writelines(",".join(row) + "\n" for row in rows)
 
 
-def _block_template(times, n_columns: int) -> list:
+#: largest share of distinct values at which a block formats each distinct
+#: value once.  Measured on 2 CPUs on 8 004-value blocks of the simulate
+#: families, as distinct-once time over per-value time (median of 9 per
+#: block): 0.31 below 10% distinct (skew), 0.79-0.88 at 10-40% (stopped and
+#: nonmarkov from 0), 0.94 but up to 1.11 at 45-50% (benchmark from 0) and
+#: 1.24-1.28 above 50%.  Repeated zeros format fast anyway, so these blocks
+#: cross lower than normal draws, which break even near 70%.  A reverse
+#: block is 100% distinct.
+_DISTINCT_SHARE = 0.4
+
+
+def _block_template(times, n_columns: int) -> tuple:
     """Row pieces of an ensemble CSV block, with the shared time column formatted once.
 
-    Joined with a path id they give that path's rows, ``n_columns`` ``%.17g`` slots each.
+    Joined with a path id they give that path's rows, ``n_columns`` value
+    slots each.  Returns two piece lists, one with ``%.17g`` slots for the
+    floats themselves and one with ``%s`` slots for floats formatted already.
     """
-    return ["", *(f",{_fmt(t)}" + ",%.17g" * n_columns + "\n" for t in times)]
+    rows = [f",{_fmt(t)}" + ",%.17g" * n_columns + "\n" for t in times]
+    return ["", *rows], ["", *(row.replace("%.17g", "%s") for row in rows)]
 
 
-def _write_block(fh, path_id: int, template: list, columns: tuple) -> None:
-    """One ensemble member's rows, formatted with one ``%`` and written at once."""
-    fh.write(f"{path_id}".join(template) % tuple(np.column_stack(columns).ravel().tolist()))
+def _write_block(fh, path_id: int, template: tuple, columns: tuple) -> None:
+    """One ensemble member's rows, formatted with one ``%`` and written at once.
+
+    A block whose distinct values are at most 40% of it (the crossover
+    ``_DISTINCT_SHARE``) formats each distinct value once and gathers the
+    strings into the rows; a skew walk's columns take few lattice values.
+    Values are compared by their bit patterns, not as floats: 0.0 and -0.0
+    compare equal but print as ``0`` and ``-0``.  Either way every value is
+    written as ``%.17g`` gives it.
+    """
+    per_value, preformatted = template
+    flat = np.column_stack(columns).ravel()
+    bits = flat.view(np.uint64)
+    ordered = np.sort(bits)
+    if 1 + np.count_nonzero(ordered[1:] != ordered[:-1]) > _DISTINCT_SHARE * bits.size:
+        fh.write(f"{path_id}".join(per_value) % tuple(flat.tolist()))
+        return
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    # "%.17g" never prints a comma; the empty piece after the last one is never gathered
+    strings = "%.17g," * distinct.size % tuple(distinct.view(np.float64).tolist())
+    gathered = np.array(strings.split(","), dtype=object)[inverse]
+    fh.write(f"{path_id}".join(preformatted) % tuple(gathered.tolist()))
 
 
 def _write_json(path: str, payload, written: list) -> None:

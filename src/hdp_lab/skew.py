@@ -47,6 +47,13 @@ def gauss_pdf(t: float, x):
     return np.exp(-np.square(x) / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
 
 
+def _require_theta(theta) -> float:
+    """Reject a skewness outside [-1, 1]; nan fails too.  Returns it as a float."""
+    if not -1.0 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [-1, 1], got {theta}")
+    return float(theta)
+
+
 @dataclass(frozen=True)
 class SkewCoefficients:
     """Coefficient bundle attached to a skewness parameter theta in [-1, 1].
@@ -59,9 +66,7 @@ class SkewCoefficients:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (-1.0 <= self.theta <= 1.0):
-            raise ValueError(f"theta must lie in [-1, 1], got {self.theta}")
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "theta", _require_theta(self.theta))
 
     @property
     def beta_plus(self) -> float:
@@ -236,7 +241,7 @@ def skew_transition_sample(theta, x_start, t, seed: SeedSpec, size=None):
 
     With ``size=None`` returns a float, otherwise an ndarray of that shape.
     """
-    coeffs = SkewCoefficients(theta)
+    theta = _require_theta(theta)
     _require_positive("t", t)
     rng = seed.generator()
     a = abs(x_start)
@@ -246,7 +251,7 @@ def skew_transition_sample(theta, x_start, t, seed: SeedSpec, size=None):
     u = rng.random(n)
     draws = side * rho
     near = np.flatnonzero(rho * a < _NEAR * t)  # flat indices: take/put serve any shape
-    np.put(draws, near, _sign_stage(coeffs.theta, side, a, rho.take(near), t, u.take(near)))
+    np.put(draws, near, _sign_stage(theta, side, a, rho.take(near), t, u.take(near)))
     return float(draws[0]) if size is None else draws
 
 
@@ -271,7 +276,7 @@ def skew_chain_terminals(theta, grid: TimeGrid, seed: SeedSpec, n_paths: int):
     A path whose new value is a zero, of either sign, takes side +1, as
     ``x >= 0`` gives it.
     """
-    coeffs = SkewCoefficients(theta)
+    theta = _require_theta(theta)
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
     rng = seed.generator()
@@ -287,9 +292,7 @@ def skew_chain_terminals(theta, grid: TimeGrid, seed: SeedSpec, n_paths: int):
         np.abs(rho, out=rho)
         u = rng.random(n_paths)
         near = np.flatnonzero(rho * xa < near_bound)
-        x_near = _sign_stage(
-            coeffs.theta, side.take(near), xa.take(near), rho.take(near), h, u.take(near)
-        )
+        x_near = _sign_stage(theta, side.take(near), xa.take(near), rho.take(near), h, u.take(near))
         side.put(near, (x_near >= 0.0) * 2.0 - 1.0)
         xa = rho
     x = side * xa
@@ -299,7 +302,7 @@ def skew_chain_terminals(theta, grid: TimeGrid, seed: SeedSpec, n_paths: int):
 
 def skew_density(theta, t, b):
     """Time-t marginal density of skew BM from 0: (1 + theta*sign b) * phi_t(b)."""
-    SkewCoefficients(theta)
+    _require_theta(theta)
     _require_positive("t", t)
     return (1.0 + theta * np.sign(b)) * gauss_pdf(t, b)
 
@@ -308,7 +311,7 @@ def skew_cdf(theta, t, b):
     """Cumulative distribution of the time-t skew-BM marginal from 0."""
     from scipy.special import ndtr
 
-    SkewCoefficients(theta)
+    _require_theta(theta)
     _require_positive("t", t)
     b = np.asarray(b, dtype=float)
     z = ndtr(b / math.sqrt(t))

@@ -3,9 +3,11 @@
 import concurrent.futures
 import contextlib
 import hashlib
+import io
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -13,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hdp_lab import cli, experiments
 from hdp_lab.analytics import reversed_bridge_ensemble
@@ -433,6 +437,140 @@ class TestGoldenBytes:
         )
         assert rc == 0
         assert sha256_of(tmp_path / "reversed_paths.csv") == REVERSE_GOLDEN[(source, theta)]
+
+
+#: sha256 of small simulate CSVs whose blocks repeat values, recorded with the
+#: per-value writer, and whether any of their blocks formats each distinct value
+#: once: skew at the benchmark's parameters, stopped from 0 (its X is the
+#: absorbed 0 throughout) and reflected from 0 (L = 0 stretches and -0 cells;
+#: its B and X are distinct throughout, so every block stays per value)
+REPEATED_VALUE_GOLDEN = {
+    "skew": (
+        ["--alpha", "0.5", "--theta", "0.5", "--x0", "0"],
+        "1022b1fe8a272224b8261097e6ef334a463950c11235975afc5f2b2dbdf9006b",
+        True,
+    ),
+    "stopped": (
+        ["--alpha", "0.5", "--x0", "0"],
+        "aab978da8d2ee4b6a31761b2a4088f7c60f87cd9c0673ae8a4bfc64eedbeeff0",
+        True,
+    ),
+    "reflected": (
+        ["--alpha", "0.5", "--x0", "0"],
+        "632b5336a4643a9182ddd428077713fce439926050f76eba53a7d6e9c74327a0",
+        False,
+    ),
+}
+
+
+def _distinct_share(columns):
+    """Share of distinct bit patterns among the values of one block."""
+    flat = np.column_stack(columns).ravel()
+    return len(np.unique(flat.view(np.uint64))) / flat.size
+
+
+def _distinct_shares(path):
+    """``_distinct_share`` of each path's block of an ensemble CSV."""
+    blocks = {}
+    for line in path.read_text().splitlines()[1:]:
+        path_id, _, *values = line.split(",")
+        blocks.setdefault(path_id, []).append([float(v) for v in values])
+    return [_distinct_share(np.array(rows).T) for rows in blocks.values()]
+
+
+class TestRepeatedValueBytes:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("family", sorted(REPEATED_VALUE_GOLDEN))
+    def test_simulate_csv_bytes(self, tmp_path, family, workers):
+        flags, digest, distinct_once = REPEATED_VALUE_GOLDEN[family]
+        rc = main(
+            ["simulate", "--family", family, *flags, "--paths", "4", "--steps", "200",
+             "--seed", "5", "--out", str(tmp_path), "--workers", workers]
+        )
+        assert rc == 0
+        assert sha256_of(tmp_path / "paths.csv") == digest
+        shares = _distinct_shares(tmp_path / "paths.csv")
+        assert (min(shares) <= cli._DISTINCT_SHARE) == distinct_once
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+_EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1e308, -1e308, 1.7976931348623157e308, 1.0, 1.0000000000000002, 0.1,
+    0.09999999999999999, -2.5, float(np.nextafter(-2.5, 0.0)),
+]
+_VALUES = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=False))
+
+
+@st.composite
+def _blocks(draw):
+    """(path id, times, columns): all one value repeated, all distinct, or a mix."""
+    n_rows = draw(st.integers(1, 20))
+    n_columns = draw(st.integers(1, 4))
+    size = n_rows * n_columns
+    mode = draw(st.sampled_from(("repeated", "distinct", "mixed")))
+    pool_size = {"repeated": 1, "distinct": size}.get(mode) or draw(st.integers(1, size))
+    pool = draw(st.lists(_VALUES, min_size=pool_size, max_size=pool_size, unique_by=_bits))
+    if mode == "distinct":
+        flat = pool
+    else:
+        picks = st.lists(st.integers(0, pool_size - 1), min_size=size, max_size=size)
+        flat = [pool[i] for i in draw(picks)]
+    rows = np.array(flat, dtype=float).reshape(n_rows, n_columns)
+    return draw(st.integers(0, 10**6)), np.arange(n_rows) / 7.0, tuple(rows.T.copy())
+
+
+def _oracle_block(path_id, times, columns):
+    """The rows of one block, each value formatted on its own."""
+    rows = zip(times.tolist(), zip(*(column.tolist() for column in columns)))
+    return "".join(
+        f"{path_id},{t:.17g}," + ",".join(f"{v:.17g}" for v in values) + "\n"
+        for t, values in rows
+    )
+
+
+def _written_block(path_id, times, columns):
+    fh = io.StringIO()
+    cli._write_block(fh, path_id, cli._block_template(times, len(columns)), columns)
+    return fh.getvalue()
+
+
+#: blocks every run of the property test checks: signed zeros and last-ulp
+#: neighbours, both formatted once per distinct value, and an all-distinct block
+_SIGNED_ZEROS = (
+    3, np.arange(50) / 7.0,
+    (np.tile([0.0, -0.0], 25), np.full(50, -0.0), np.tile([0.0, 5e-324], 25)),
+)
+_ULP_NEIGHBOURS = (
+    0, np.arange(40) / 7.0,
+    (np.tile([1.0, 1.0000000000000002, 0.1, 0.09999999999999999], 10),
+     np.full(40, 1e308), np.full(40, -1e308)),
+)
+_ALL_DISTINCT = (8, np.arange(30) / 7.0, (np.linspace(-1.0, 1.0, 30), np.geomspace(1e-300, 1e300, 30)))
+
+
+class TestBlockWriter:
+    """``_write_block`` against a per-value ``%.17g`` oracle, on both sides of the crossover."""
+
+    @settings(max_examples=200)
+    @given(_blocks())
+    @example(_SIGNED_ZEROS)
+    @example(_ULP_NEIGHBOURS)
+    @example(_ALL_DISTINCT)
+    def test_matches_per_value_oracle(self, block):
+        assert _written_block(*block) == _oracle_block(*block)
+
+    def test_examples_lie_on_both_sides_of_the_crossover(self):
+        assert _distinct_share(_SIGNED_ZEROS[2]) <= cli._DISTINCT_SHARE
+        assert _distinct_share(_ULP_NEIGHBOURS[2]) <= cli._DISTINCT_SHARE
+        assert _distinct_share(_ALL_DISTINCT[2]) > cli._DISTINCT_SHARE
+
+    def test_signed_zeros_keep_their_sign(self):
+        rows = _written_block(*_SIGNED_ZEROS).splitlines()
+        assert rows[:2] == ["3,0,0,-0,0", "3,0.14285714285714285,-0,-0,4.9406564584124654e-324"]
 
 
 class TestWorkerCounts:

@@ -15,6 +15,7 @@ from hdp_lab import (
     SkewCoefficients,
     local_time_occupation,
     make_grid,
+    msd,
     oscillating_from_skew,
     sample_skew_with_local_time,
     simulate_skew_pair,
@@ -59,6 +60,22 @@ class TestSkewCoefficients:
     def test_theta_range(self, theta):
         with pytest.raises(ValueError):
             SkewCoefficients(theta)
+
+    @pytest.mark.parametrize("theta", [-1.5, 1.5, math.nan])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda theta: SkewCoefficients(theta),
+            lambda theta: skew_density(theta, 1.0, 0.3),
+            lambda theta: skew_cdf(theta, 1.0, 0.3),
+            lambda theta: msd(0.5, theta, 1.0),
+            lambda theta: skew_transition_sample(theta, 0.0, 1.0, SeedSpec(1)),
+            lambda theta: skew_chain_terminals(theta, make_grid(1.0, 2), SeedSpec(1), 3),
+        ],
+    )
+    def test_every_theta_check_gives_one_message(self, call, theta):
+        with pytest.raises(ValueError, match=rf"^theta must lie in \[-1, 1\], got {theta}$"):
+            call(theta)
 
     def test_split_probabilities_and_kappa(self):
         co = SkewCoefficients(0.5)
