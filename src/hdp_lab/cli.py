@@ -552,6 +552,8 @@ def cmd_msd(args, written: list) -> int:
     theta = _resolve(args, "theta")
     t = _resolve(args, "t_end")
     paths = _resolve(args, "paths")
+    if paths < 0:
+        raise CliError(f"--paths must be >= 0, got {paths}")
     record = {"alpha": alpha, "theta": theta, "t": t, "msd": msd(alpha, theta, t)}
     if paths > 0:
         master = _resolve(args, "seed")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Path, SeedSpec, TimeGrid, _require_positive
+from .core import Path, SeedSpec, TimeGrid, _require_positive, _skip_doubles
 
 __all__ = [
     "SkewCoefficients",
@@ -266,8 +266,8 @@ def skew_chain_terminals(theta, grid: TimeGrid, seed: SeedSpec, n_paths: int):
     count -- no scheme bias and no sqrt(h) value lattice, which matters for
     distribution-level tests on the terminal.
 
-    Every step draws ``standard_normal(n_paths)`` then ``random(n_paths)``.
-    The paths carry their modulus and side (+-1) from step to step, and the
+    Every step draws ``standard_normal(n_paths)``, then ``random(n_paths)``
+    or the same move of the stream (see below).  The paths carry their modulus and side (+-1) from step to step, and the
     value side*modulus is built once, at the end.  The sign stage runs only
     on the paths near 0, those with rho*|x| < 33*h: elsewhere the damping
     exp(-2*rho*|x|/h) is below 2**-92, the sign probability rounds to
@@ -275,6 +275,17 @@ def skew_chain_terminals(theta, grid: TimeGrid, seed: SeedSpec, n_paths: int):
     of the result.  Once the paths have spread out that is most of them.
     A path whose new value is a zero, of either sign, takes side +1, as
     ``x >= 0`` gives it.
+
+    At |theta| = 1 a path whose side s has s*theta = 1 is pinned to it: its
+    sign probability (1 + damp)/(1 + damp) is exactly 1.0 in floating point,
+    it keeps its side at every step, and it never enters the sign stage.  At
+    theta = 1 that is every path from the start; at theta = -1 every path
+    after the first step (bar exact zero landings there).  A pinned path
+    that lands on a zero keeps side -1 where ``x >= 0`` would give +1; that
+    changes no bit, since from modulus 0 theta = -1 gives -rho whichever
+    side the path carries, and the terminal -1 * 0.0 is the -0.0 the sign
+    stage gives.  A step with no path near 0 moves the stream past its
+    uniforms (:func:`~hdp_lab.core._skip_doubles`) without making them.
     """
     theta = _require_theta(theta)
     if n_paths < 1:
@@ -285,18 +296,29 @@ def skew_chain_terminals(theta, grid: TimeGrid, seed: SeedSpec, n_paths: int):
     near_bound = _NEAR * h
     side = np.ones(n_paths)
     xa = np.zeros(n_paths)
+    # the paths not pinned to their side; None while |theta| < 1 pins none
+    free = None if abs(theta) < 1.0 else np.flatnonzero(side != theta)
     for _ in range(grid.n_steps):
         rho = rng.standard_normal(n_paths)
         rho *= root_h
         rho += xa
         np.abs(rho, out=rho)
-        u = rng.random(n_paths)
-        near = np.flatnonzero(rho * xa < near_bound)
-        x_near = _sign_stage(theta, side.take(near), xa.take(near), rho.take(near), h, u.take(near))
-        side.put(near, (x_near >= 0.0) * 2.0 - 1.0)
+        if free is None:
+            near = np.flatnonzero(rho * xa < near_bound)
+        else:
+            near = free[rho.take(free) * xa.take(free) < near_bound]
+        if near.size:
+            u = rng.random(n_paths)
+            x_near = _sign_stage(theta, side.take(near), xa.take(near), rho.take(near), h, u.take(near))
+            side.put(near, (x_near >= 0.0) * 2.0 - 1.0)
+            if free is not None:
+                free = free[side.take(free) != theta]
+        else:
+            _skip_doubles(rng, n_paths)
         xa = rho
     x = side * xa
-    x.put(near, x_near)  # the last step's values near 0, with the sign of a zero kept
+    if near.size:
+        x.put(near, x_near)  # the last step's values near 0, with the sign of a zero kept
     return x
 
 

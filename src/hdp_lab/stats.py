@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import SeedSpec, _require_positive
+from .skew import _require_theta
 
 __all__ = [
     "EstimatorResult",
@@ -172,8 +173,7 @@ def exit_probability(
     and the CLI defaults); a finer step or a wider band raises
     :class:`ValueError` before the loop starts.
     """
-    if not (-1.0 <= theta <= 1.0):
-        raise ValueError(f"theta must lie in [-1, 1], got {theta}")
+    theta = _require_theta(theta)
     _require_positive("eps", eps)
     _require_positive("h", h)
     if int(n_paths) < 2:

@@ -215,6 +215,11 @@ class TestScalarCommands:
         record = dict(zip(header, rows[0]))
         assert float(record["msd"]) == pytest.approx(0.1875)
 
+    def test_msd_negative_paths_exits_2(self, tmp_path, capsys):
+        assert main(["msd", "--paths", "-5", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: --paths must be >= 0, got -5\n"
+        assert not (tmp_path / "out").exists()
+
     def test_msd_json_with_estimate(self, tmp_path):
         rc = main(
             ["msd", "--alpha", "0", "--theta", "1", "--paths", "5000", "--seed", "9",

@@ -25,7 +25,8 @@ from hdp_lab import (
     skew_transition_sample,
 )
 from hdp_lab.core import Path
-from hdp_lab.stats import ks_test
+from hdp_lab.stats import exit_probability, ks_test
+from test_core import _full_state
 
 
 def reflection_cdf(theta, start, t, b):
@@ -71,6 +72,7 @@ class TestSkewCoefficients:
             lambda theta: msd(0.5, theta, 1.0),
             lambda theta: skew_transition_sample(theta, 0.0, 1.0, SeedSpec(1)),
             lambda theta: skew_chain_terminals(theta, make_grid(1.0, 2), SeedSpec(1), 3),
+            lambda theta: exit_probability(theta, 0.1, 2, 1e-3, SeedSpec(1)),
         ],
     )
     def test_every_theta_check_gives_one_message(self, call, theta):
@@ -305,8 +307,54 @@ CHAIN_GOLDEN = {
 }
 
 
+class ScriptedSeed:
+    """A seed that is its own generator: SeedSpec(master)'s, with scripted ``standard_normal`` arrays first.
+
+    Scripted calls draw nothing; every other call and attribute, ``bit_generator``
+    included, is the wrapped Philox generator's.
+    """
+
+    def __init__(self, master, normals):
+        self._rng = SeedSpec(master).generator()
+        self._normals = list(normals)
+
+    def generator(self):
+        return self
+
+    def standard_normal(self, size):
+        if self._normals:
+            return np.array(self._normals.pop(0), dtype=float)
+        return self._rng.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+#: Two scripted steps of six paths.  The moduli they give, in units of sqrt(h):
+#: path 0 goes 1, 0 and path 5 goes 2, 0 (zero landings from a side taken at
+#: step 1), paths 2 and 3 land on 0 at step 1, path 2 again at step 2.
+ZERO_LANDINGS = (
+    [1.0, 1.0, 0.0, 0.0, -1.0, 2.0],
+    [-1.0, 0.5, 0.0, 1.0, 1.0, -2.0],
+)
+
+
 class TestChainKernel:
     """The chained transition draws the same bits whichever paths evaluate the damping."""
+
+    @pytest.mark.parametrize("theta", [-1.0, 1.0, 0.5])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 40])
+    def test_zero_landings_and_stream_position(self, theta, n_steps):
+        grid = make_grid(1.0, n_steps)
+        n_paths = len(ZERO_LANDINGS[0])
+        kernel, reference = (ScriptedSeed(77, ZERO_LANDINGS[:n_steps]) for _ in range(2))
+        got = skew_chain_terminals(theta, grid, kernel, n_paths)
+        want = chain_terminals_all_paths(theta, grid, reference, n_paths)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert _full_state(kernel) == _full_state(reference)
+        if theta == -1.0 and n_steps == 2:  # the zero landings end on -0.0
+            landed = got[[0, 2, 5]]
+            assert not landed.any() and np.signbit(landed).all()
 
     @pytest.mark.parametrize("theta", sorted(CHAIN_GOLDEN))
     def test_golden_bytes(self, theta):
