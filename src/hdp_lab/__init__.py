@@ -50,9 +50,7 @@ from .integrals import (
     stratonovich_sum,
 )
 from .analytics import (
-    IntegrabilityFlags,
     heat_check_density,
-    integrability_conditions,
     joint_density_BL,
     joint_density_YB,
     msd,

@@ -15,7 +15,6 @@ absolute value on the Gaussian-argument factor carrying the mirror.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .core import Path, SeedSpec, TimeGrid, _require_positive, _skip_doubles
 from .skew import SkewCoefficients, _require_theta
 
 __all__ = [
-    "IntegrabilityFlags",
     "joint_density_BL",
     "joint_density_YB",
     "msd",
@@ -33,7 +31,6 @@ __all__ = [
     "reversed_pair_bridge",
     "reversed_bridge_ensemble",
     "heat_check_density",
-    "integrability_conditions",
 ]
 
 
@@ -169,6 +166,11 @@ def _bridge_draws(rng, m: int):
     stream past them without making them (:func:`~hdp_lab.core._skip_doubles`);
     a list of per-path generators draws one scalar per path, so path j draws
     exactly what a one-path run on its own stream draws, and skips by drawing.
+    A per-path uniform is one raw 64-bit Philox output turned into a double
+    as ``Generator.random`` does, ``(raw >> 11) * 2**-53``: the same bits
+    and the same stream position, at about half the cost of a ``random()``
+    call.  Normals stay ``standard_normal()``: the ziggurat reads a variable
+    number of outputs.
     """
     if isinstance(rng, np.random.Generator):
         return (
@@ -176,8 +178,8 @@ def _bridge_draws(rng, m: int):
             lambda: rng.random(m),
             lambda: _skip_doubles(rng, m),
         )
-    normals, uniforms = [g.standard_normal for g in rng], [g.random for g in rng]
-    uniform = lambda: np.array([f() for f in uniforms])
+    normals, raws = [g.standard_normal for g in rng], [g.bit_generator.random_raw for g in rng]
+    uniform = lambda: (np.array([f() for f in raws], dtype=np.uint64) >> 11) * 2.0**-53
     return (lambda: np.array([f() for f in normals])), uniform, uniform
 
 
@@ -362,27 +364,3 @@ def heat_check_density(theta: float, u: float, y: float, z: float, fd_step: floa
         raise ValueError("d/du p vanishes at this point; pick another evaluation point")
     return abs(spatial - du) / abs(du)
 
-
-@dataclass(frozen=True)
-class IntegrabilityFlags:
-    """Local-integrability verdicts for the three integrals in the Ito form."""
-
-    ito_integrand_ok: bool
-    drift_lebesgue_ok: bool
-    drift_pv_ok: bool
-
-
-def integrability_conditions(alpha: float) -> IntegrabilityFlags:
-    """Which integrals of the Ito form exist for this alpha.
-
-    The forward integrand |x|^(2 alpha) and the principal-value drift are
-    locally manageable for every alpha > -1; the plain Lebesgue drift needs
-    alpha > 0.
-    """
-    if not (-1.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie strictly inside (-1, 1), got {alpha}")
-    return IntegrabilityFlags(
-        ito_integrand_ok=alpha > -1.0,
-        drift_lebesgue_ok=alpha > 0.0,
-        drift_pv_ok=alpha > -1.0,
-    )

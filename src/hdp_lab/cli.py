@@ -29,10 +29,12 @@ are removed when a command fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
+import pickle
 import sys
 import tempfile
 import warnings
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .analytics import joint_density_BL, joint_density_YB, msd, reversed_bridge_ensemble
-from .core import SeedSpec, _fork_pool, make_grid, sample_brownian
+from .core import SeedSpec, make_grid, sample_brownian
 from .experiments import SUITES, run_suite
 from .skew import (
     SkewCoefficients,
@@ -286,23 +288,17 @@ def _write_ensemble(
             write_range(fh, 0, paths)
             return
         out, name = os.path.split(csv_path)
-        parts = []
-        for _ in range(1, workers):
+        ranges = []
+        for k in range(1, workers):
             fd, part = tempfile.mkstemp(prefix=f".{name}.", dir=out)
             os.close(fd)
             written.append(part)
-            parts.append(part)
+            ranges.append((part, bounds[k], bounds[k + 1]))
         fh.flush()  # the workers inherit the handle: nothing may sit in its buffer
-        with _fork_pool(workers - 1, "ensemble") as pool:
-            futures = [
-                pool.submit(_write_part, part, write_range, bounds[k], bounds[k + 1])
-                for k, part in enumerate(parts, start=1)
-            ]
+        with _fork_ranges(write_range, ranges):
             write_range(fh, bounds[0], bounds[1])
-            for future in futures:
-                future.result()
         fh.flush()
-        for part in parts:
+        for part, _, _ in ranges:
             with open(part, "rb") as src:
                 offset = 0
                 # one sendfile call copies at most about 2 GiB
@@ -315,6 +311,82 @@ def _write_part(path: str, write_range, start: int, stop: int) -> None:
     """A forked worker's share: the blocks of paths [start, stop) in their own file."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         write_range(fh, start, stop)
+
+
+@contextlib.contextmanager
+def _fork_ranges(write_range, ranges: list):
+    """Forked workers, one per ``(part file, start, stop)`` in ``ranges``, each writing its part.
+
+    Entering starts them all, so they run while the caller writes its own
+    range; a clean exit then waits for each in turn and re-raises its
+    failure here: the exception it sent back through its pipe (so a worker
+    out of memory still reads ``error: out of memory``), or
+    :class:`ChildProcessError` for one that died.  Any exit terminates the
+    workers still running and joins every one.  They are
+    ``multiprocessing`` processes, not bare forks, so the after-fork hooks
+    and exit finalizers registered with ``multiprocessing.util`` (a tracer's,
+    say) run in them.  SIGINT is blocked while they start and ignored in
+    them: on a Ctrl-C, which reaches the whole process group, this process
+    alone gets the ``KeyboardInterrupt``, and never between forking a worker
+    and recording it.
+    """
+    import multiprocessing
+    import signal
+
+    context = multiprocessing.get_context("fork")
+    workers = []  # (process, read end of its error pipe)
+    try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for part, start, stop in ranges:
+                read_fd, write_fd = os.pipe()
+                process = context.Process(
+                    target=_run_range, args=(write_fd, part, write_range, start, stop)
+                )
+                workers.append((process, read_fd))
+                try:
+                    process.start()
+                finally:
+                    os.close(write_fd)
+        finally:
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        yield
+        for process, read_fd in workers:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                error = pipe.read()
+            process.join()
+            if error:
+                raise pickle.loads(error)
+            if process.exitcode:
+                raise ChildProcessError(
+                    f"a forked ensemble worker died before its work finished (exit code {process.exitcode})"
+                )
+    finally:
+        for process, read_fd in workers:
+            if process.pid is not None:  # started
+                if process.is_alive():
+                    process.terminate()
+                process.join()
+            os.close(read_fd)
+
+
+def _run_range(error_fd: int, part: str, write_range, start: int, stop: int) -> None:
+    """A forked worker: writes its part file, or sends its exception back and exits 1."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    try:
+        _write_part(part, write_range, start, stop)
+    except Exception as exc:  # the worker's boundary: its failure goes back to the parent
+        try:
+            error = pickle.dumps(exc)
+            pickle.loads(error)
+        except Exception:  # an exception that does not survive the trip goes back as text
+            error = pickle.dumps(ChildProcessError(f"{type(exc).__name__}: {exc}"))
+        with open(error_fd, "wb") as pipe:
+            pipe.write(error)
+        sys.exit(1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ generator addressed by ``(master_seed, stream_index)``.  Stream k is the
 master generator jumped ahead k times, so ensemble members are independent
 and bit-for-bit reproducible regardless of the order in which they are
 simulated (or of how work is split across processes).  ``_fork_pool`` is
-the one process pool that splits it, for ``verify`` units and ensemble
-path ranges alike.
+the process pool that ``verify`` spreads its units over; ensemble path
+ranges go to forked workers of their own (``cli._fork_ranges``).
 """
 
 from __future__ import annotations
@@ -171,17 +171,19 @@ def _skip_doubles(rng: np.random.Generator, m: int) -> None:
 def _fork_pool(workers: int, what: str):
     """A process pool of ``workers`` forked processes, every one joined on exit.
 
-    Forked, not spawned: workers start with the modules imported here, in
-    their state as it is here, and the pool forks them all before it starts
-    a thread of its own.  A module the work imports only as it runs, every
-    worker imports again, so callers import it first (``run_suite`` imports
-    its checks' declared ``imports``).  The pool modules are imported only here, so importing the
-    package starts no pool machinery.  A worker that dies raises
-    :class:`ChildProcessError` naming the ``what`` pool; on any exit the
-    pending tasks are cancelled and every worker is joined.  Workers ignore
-    SIGINT: on a Ctrl-C, which reaches the whole process group, this process
-    alone gets the ``KeyboardInterrupt`` and ends them, so the shutdown does
-    not wait for their work.
+    ``verify`` alone uses it: its units need a work queue and returned
+    reports, and its parent only waits in ``pool.map``.  Forked, not
+    spawned: workers start with the modules imported here, in their state as
+    it is here, and the pool forks them all before it starts a thread of its
+    own.  A module the work imports only as it runs, every worker imports
+    again, so callers import it first (``run_suite`` imports its checks'
+    declared ``imports``).  The pool modules are imported only here, so
+    importing the package starts no pool machinery.  A worker that dies
+    raises :class:`ChildProcessError` naming the ``what`` pool; on any exit
+    the pending tasks are cancelled and every worker is joined.  Workers
+    ignore SIGINT: on a Ctrl-C, which reaches the whole process group, this
+    process alone gets the ``KeyboardInterrupt`` and ends them, so the
+    shutdown does not wait for their work.
     """
     import multiprocessing
     import signal

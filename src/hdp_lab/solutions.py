@@ -19,6 +19,7 @@ path, flagged by a warning, so the failure itself can be measured.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -56,6 +57,8 @@ class ModelParams:
             raise ValueError(f"alpha must lie strictly inside (-1, 1), got {self.alpha}")
         if not (-1.0 <= self.theta <= 1.0):
             raise ValueError(f"theta must lie in [-1, 1], got {self.theta}")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "x0", float(self.x0))

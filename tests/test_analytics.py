@@ -12,7 +12,6 @@ from hdp_lab import (
     SeedSpec,
     SkewCoefficients,
     heat_check_density,
-    integrability_conditions,
     joint_density_BL,
     joint_density_YB,
     make_grid,
@@ -22,12 +21,15 @@ from hdp_lab import (
     skew_transition_sample,
 )
 from hdp_lab.analytics import (
+    _bridge_draws,
     _reversed_bridge_core,
     reversed_drift_reflected,
     reversed_drift_y,
     reversed_drift_z,
 )
 from hdp_lab.stats import ks_test
+
+from test_core import _full_state
 
 
 class TestMsd:
@@ -270,6 +272,24 @@ class TestBridgeCore:
             assert stream_position(a) == stream_position(b)
 
 
+class TestPerPathUniforms:
+    """A per-path uniform made from a raw Philox output is the double ``random()`` makes."""
+
+    @pytest.mark.parametrize("draws", range(1, 10))
+    def test_equal_to_random_bit_for_bit_and_same_state(self, draws):
+        # 1-9 draws in a row cross the four-output Philox buffer at every offset
+        made = [SeedSpec(23, j).generator() for j in range(5)]
+        drawn = [SeedSpec(23, j).generator() for j in range(5)]
+        made[2].random(3)  # paths part-way through their buffers
+        drawn[2].random(3)
+        _, uniform, skip = _bridge_draws(made, len(made))
+        for k in range(draws):
+            got = (uniform if k % 3 else skip)()
+            want = np.array([g.random() for g in drawn])
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert [_full_state(g) for g in made] == [_full_state(g) for g in drawn]
+
+
 class TestHeatIdentity:
     def test_residual_small_at_interior_point(self):
         co = SkewCoefficients(0.3)
@@ -277,14 +297,3 @@ class TestHeatIdentity:
         z = co.r(y) - 0.7
         assert heat_check_density(0.3, 0.7, y, z, fd_step=2e-4) < 1e-4
 
-
-class TestIntegrabilityFlags:
-    def test_truth_table(self):
-        flags = integrability_conditions(0.5)
-        assert flags.ito_integrand_ok and flags.drift_lebesgue_ok and flags.drift_pv_ok
-        flags = integrability_conditions(-0.5)
-        assert flags.ito_integrand_ok and not flags.drift_lebesgue_ok and flags.drift_pv_ok
-
-    def test_alpha_range(self):
-        with pytest.raises(ValueError):
-            integrability_conditions(1.0)

@@ -1,6 +1,5 @@
 """Command-line contract: files, manifests, exit codes, config precedence."""
 
-import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -266,6 +265,14 @@ class TestNonFiniteInputs:
     def test_exits_2_and_leaves_no_file(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+    @pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("family", cli.FAMILIES)
+    def test_simulate_start_exits_2_naming_x0(self, tmp_path, capsys, family, x0):
+        argv = ["simulate", "--family", family, f"--x0={x0}", "--paths", "2", "--steps", "10"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: x0 must be finite, got {float(x0)}\n"
         assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
     @pytest.mark.parametrize("x0", ["inf", "-inf", "nan"])
@@ -655,22 +662,35 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _two_range_simulate_error(tmp_path, monkeypatch, capsys, worker_range, first_range=None) -> str:
+    """stderr of a 2-path simulate on 2 workers whose path 0 (this process's range) calls
+    ``first_range`` and whose path 1 (the forked worker's) calls ``worker_range``; checks
+    that it exits 2 and leaves no file and no child."""
+    simulate_columns = cli._simulate_columns
+
+    def columns(family, params, windows, grid, seed):
+        ranged = worker_range if seed.stream_index else first_range
+        if ranged is not None:
+            ranged()
+        return simulate_columns(family, params, windows, grid, seed)
+
+    monkeypatch.setattr(cli, "_simulate_columns", columns)
+    argv = ["simulate", "--family", "skew", "--paths", "2", "--steps", "20",
+            "--out", str(tmp_path), "--workers", "2"]
+    assert main(argv) == 2
+    assert not list(tmp_path.iterdir())
+    _no_child_left()
+    return capsys.readouterr().err
+
+
+def _raise(exc):
+    raise exc
+
+
 class TestEnsembleWorkerFailures:
     def test_memory_error_in_a_worker_range_exits_2(self, tmp_path, monkeypatch, capsys):
-        simulate_columns = cli._simulate_columns
-
-        def exhausted_after_first(family, params, windows, grid, seed):
-            if seed.stream_index >= 1:  # the forked worker's range
-                raise MemoryError
-            return simulate_columns(family, params, windows, grid, seed)
-
-        monkeypatch.setattr(cli, "_simulate_columns", exhausted_after_first)
-        argv = ["simulate", "--family", "skew", "--paths", "2", "--steps", "20",
-                "--out", str(tmp_path), "--workers", "2"]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == "error: out of memory\n"
-        assert not list(tmp_path.iterdir())
-        _no_child_left()
+        err = _two_range_simulate_error(tmp_path, monkeypatch, capsys, lambda: _raise(MemoryError))
+        assert err == "error: out of memory\n"
 
     def test_dead_worker_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
         def dying(theta, terminals, grid, seeds):
@@ -687,15 +707,29 @@ class TestEnsembleWorkerFailures:
         assert not list(tmp_path.iterdir())
         _no_child_left()
 
+    def test_os_error_in_a_worker_range_exits_2(self, tmp_path, monkeypatch, capsys):
+        err = _two_range_simulate_error(tmp_path, monkeypatch, capsys, lambda: _raise(OSError("disk full")))
+        assert err == "error: disk full\n"
+
+    def test_failure_in_this_range_ends_a_busy_worker_at_once(self, tmp_path, monkeypatch, capsys):
+        start = time.monotonic()
+        err = _two_range_simulate_error(
+            tmp_path, monkeypatch, capsys,
+            worker_range=lambda: time.sleep(60.0),
+            first_range=lambda: _raise(ValueError("this range failed")),
+        )
+        assert time.monotonic() - start < 5.0
+        assert err == "error: this range failed\n"
+
     def test_narrow_reverse_forks_no_worker(self, tmp_path, monkeypatch):
         forked = []
-        fork_pool = cli._fork_pool
+        fork_ranges = cli._fork_ranges
 
-        def spy(workers, what):
-            forked.append(workers)
-            return fork_pool(workers, what)
+        def spy(write_range, ranges):
+            forked.append(len(ranges))
+            return fork_ranges(write_range, ranges)
 
-        monkeypatch.setattr(cli, "_fork_pool", spy)
+        monkeypatch.setattr(cli, "_fork_ranges", spy)
         monkeypatch.setattr(cli, "_FORK_PATH_STEPS", 1)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(4)))
         for command in (["reverse"], ["simulate", "--family", "skew"]):
@@ -717,12 +751,7 @@ class TestEnsembleWorkerFailures:
 
 
 class _InProcessPool:
-    """A stand-in for the forked pool: runs every task here, at once."""
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    """A stand-in for the forked verify pool: runs every task here, at once."""
 
     def map(self, fn, items):
         return [fn(item) for item in items]
@@ -737,15 +766,22 @@ class TestWorkerCeiling:
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
-        """Sizes asked of the ensemble and verify pools, which fork nothing; one CPU available."""
+        """Sizes asked of the ensemble workers and the verify pool, which fork nothing; one CPU available."""
         sizes = []
+
+        @contextlib.contextmanager
+        def ranges_here(write_range, ranges):
+            sizes.append(len(ranges))
+            for part, start, stop in ranges:
+                cli._write_part(part, write_range, start, stop)
+            yield
 
         @contextlib.contextmanager
         def stand_in(workers, what):
             sizes.append(workers)
             yield _InProcessPool()
 
-        monkeypatch.setattr(cli, "_fork_pool", stand_in)
+        monkeypatch.setattr(cli, "_fork_ranges", ranges_here)
         monkeypatch.setattr(experiments, "_fork_pool", stand_in)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         cheap = experiments._check(*[(f"unit {i}",) for i in range(6)])(_cheap_units)
@@ -813,38 +849,48 @@ def _session_alive(pgid: int) -> bool:
     return True
 
 
+def _interrupt_once_a_part_is_written(tmp_path, argv, part_glob):
+    """Run ``argv`` on 2 workers in its own session, SIGINT the session once a part file has
+    bytes, and check for one ``error: interrupted`` line, exit 2, no file and no process left."""
+    src = str(Path(__file__).parents[1] / "src")
+    code = "import sys; from hdp_lab.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, *argv, "--workers", "2", "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 30.0
+        while not any(p.stat().st_size for p in tmp_path.glob(part_glob)):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline, "no worker wrote its part file"
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=30.0)
+        left_running = _session_alive(proc.pid)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == 2
+    assert err == "error: interrupted\n"
+    assert not list(tmp_path.iterdir())
+    assert not left_running
+
+
 class TestInterrupt:
     def test_sigint_during_a_pooled_run_exits_2_and_leaves_nothing(self, tmp_path):
         """Ctrl-C reaches the whole process group, as from a terminal, once a worker is writing."""
-        src = str(Path(__file__).parents[1] / "src")
-        code = "import sys; from hdp_lab.cli import main; sys.exit(main(sys.argv[1:]))"
-        argv = ["simulate", "--family", "skew", "--paths", "40", "--steps", "20000",
-                "--workers", "2", "--out", str(tmp_path)]
-        proc = subprocess.Popen(
-            [sys.executable, "-c", code, *argv],
-            env={**os.environ, "PYTHONPATH": src},
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
-            text=True,
-            start_new_session=True,
-        )
-        try:
-            deadline = time.monotonic() + 30.0
-            while not any(p.stat().st_size for p in tmp_path.glob(".paths.csv.*")):
-                assert proc.poll() is None, proc.stderr.read()
-                assert time.monotonic() < deadline, "no worker wrote its part file"
-                time.sleep(0.01)
-            os.killpg(proc.pid, signal.SIGINT)
-            _, err = proc.communicate(timeout=30.0)
-            left_running = _session_alive(proc.pid)
-        finally:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-        assert proc.returncode == 2
-        assert err == "error: interrupted\n"
-        assert not list(tmp_path.iterdir())
-        assert not left_running
+        argv = ["simulate", "--family", "skew", "--paths", "40", "--steps", "20000"]
+        _interrupt_once_a_part_is_written(tmp_path, argv, ".paths.csv.*")
+
+    def test_sigint_during_a_pooled_reverse_exits_2_and_leaves_nothing(self, tmp_path):
+        # the worker's range is two bridge batches: it is still busy after its first blocks
+        argv = ["reverse", "--theta", "0.5", "--paths", "400", "--steps", "4000"]
+        _interrupt_once_a_part_is_written(tmp_path, argv, ".reversed_paths.csv.*")
 
     def test_interrupt_in_process_cleans_up(self, tmp_path, monkeypatch, capsys):
         def interrupted(*args):

@@ -65,6 +65,26 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
     assert loaded == [[rc, []] for _, rc in SCIPY_FREE_COMMANDS]
 
 
+def test_forked_ensembles_load_no_executor(tmp_path):
+    """simulate and reverse fork their workers without concurrent.futures."""
+    commands = [
+        ["simulate", "--family", "skew", "--paths", "2", "--steps", "20", "--workers", "2", "--out", "sim"],
+        ["reverse", "--paths", "2", "--steps", "20", "--workers", "2", "--out", "rev"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from hdp_lab.cli import main\n"
+        "loaded = []\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    loaded.append([code, sorted(m for m in sys.modules if m.startswith('concurrent'))])\n"
+        "print(json.dumps(loaded))\n"
+    )
+    assert json.loads(_python(code, tmp_path)) == [[0, []], [0, []]]
+    assert sorted(p.name for p in (tmp_path / "rev").iterdir()) == ["manifest.json", "reversed_paths.csv"]
+
+
 def test_verify_parent_imports_declared_modules_before_the_pool_forks(tmp_path):
     """The real scipy suites, with a stand-in pool that notes what is loaded when it would fork."""
     code = (

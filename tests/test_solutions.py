@@ -1,5 +1,7 @@
 """Closed-form solution families and the signed-power transform."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,11 @@ class TestModelParams:
 
     def test_inverse_exponent(self):
         assert ModelParams(0.5).inverse_exponent == 2.0
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_start_must_be_finite(self, x0):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            ModelParams(0.5, x0=x0)
 
 
 class TestBenchmark:
