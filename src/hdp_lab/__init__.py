@@ -3,18 +3,17 @@
 The library simulates every explicit solution family of the equation
 (benchmark, stopped at zero, non-Markov window, skew, reflected), estimates
 forward/backward/symmetric partition-sum integrals and covariation brackets
-along the paths, evaluates the closed-form densities, moments and reversed
-drifts of the skew machinery, and packages statistical checks of each
+along the paths, evaluates the closed-form densities and moments of the
+skew machinery, bridges its time reversal, and packages statistical checks of each
 identity at desk scale.  The ``hdp-lab`` CLI exposes simulation, density
 evaluation, and the named verification suites.
 """
 
-from .core import Path, SeedSpec, TimeGrid, make_grid, refine, sample_brownian
+from .core import Path, SeedSpec, TimeGrid, make_grid, sample_brownian
 from .skew import (
     CoupledSkewPath,
     SkewCoefficients,
     local_time_occupation,
-    oscillating_from_skew,
     sample_skew_with_local_time,
     simulate_skew_pair,
     skew_cdf,
@@ -40,9 +39,7 @@ from .integrals import (
     backward_sum,
     bracket_convergence,
     bracket_estimate,
-    chain_rule_residual,
     default_eps_sequence,
-    ito_form_residual,
     ito_sum,
     mollify,
     pv_integral,
@@ -54,9 +51,6 @@ from .analytics import (
     joint_density_BL,
     joint_density_YB,
     msd,
-    reversed_drift_reflected,
-    reversed_drift_y,
-    reversed_drift_z,
     reversed_bridge_ensemble,
     reversed_pair_bridge,
 )

@@ -1,4 +1,4 @@
-"""Closed forms: joint densities, mean square displacement, reversed drifts.
+"""Closed forms: joint densities, mean square displacement, reversed bridges.
 
 Everything here is exact-formula work for the skew Brownian motion B^theta
 started at 0, its symmetric local time L, the oscillating process
@@ -6,8 +6,8 @@ Y = s(B^theta), and the time reversal of the pair (Y, B) over a horizon T.
 
 Sign conventions: the formulas are stated for theta > 0 in the references
 they implement; negative theta is reached through the mirror symmetry
-(theta, y, z) -> (-theta, -y, -z), under which the reversed drift is odd and
-the joint density invariant.  The implementations below apply to all
+(theta, y, z) -> (-theta, -y, -z), under which the joint density is
+invariant.  The implementations below apply to all
 theta != 0 directly, with the support wedge { (r(y) - z)/theta > 0 } and an
 absolute value on the Gaussian-argument factor carrying the mirror.
 """
@@ -25,9 +25,6 @@ __all__ = [
     "joint_density_BL",
     "joint_density_YB",
     "msd",
-    "reversed_drift_y",
-    "reversed_drift_z",
-    "reversed_drift_reflected",
     "reversed_pair_bridge",
     "reversed_bridge_ensemble",
     "heat_check_density",
@@ -111,52 +108,6 @@ def msd(alpha: float, theta: float, t: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"msd overflows the float range at t = {t}, alpha = {alpha}")
     return value
-
-
-def _require_wedge(coeffs: SkewCoefficients, y: float, z: float) -> None:
-    if (coeffs.r(y) - z) / coeffs.theta <= 0.0:
-        raise ValueError(
-            f"(y, z) = ({y}, {z}) lies outside the support wedge "
-            f"(r(y) - z)/theta > 0 for theta = {coeffs.theta}"
-        )
-
-
-def reversed_drift_y(theta: float, T: float, s: float, y: float, z: float) -> float:
-    """Drift of the reversed oscillating coordinate at reversed time s in [0, T].
-
-    (theta sign y / beta(y)) * (1/(2 y beta^2(y) - z) - (2 y beta^2(y) - z)/(theta^2 (T - s)))
-
-    on {y != 0, (r(y)-z)/theta > 0}; returns 0 at y = 0 and s = T by convention.
-    """
-    coeffs = SkewCoefficients(theta)
-    if theta == 0.0:
-        raise ValueError("reversed drift requires theta != 0")
-    _require_positive("T", T)
-    if not (0.0 <= s <= T):
-        raise ValueError(f"s must lie in [0, T], got {s}")
-    if y == 0.0:
-        return 0.0
-    _require_wedge(coeffs, y, z)
-    if s == T:
-        return 0.0
-    beta = float(coeffs.beta(y))
-    m = 2.0 * y * beta**2 - z
-    return (theta * math.copysign(1.0, y) / beta) * (1.0 / m - m / (theta**2 * (T - s)))
-
-
-def reversed_drift_z(theta: float, T: float, s: float, y: float, z: float) -> float:
-    """Drift of the reversed driver coordinate: reversed_drift_y / sigma(y)."""
-    coeffs = SkewCoefficients(theta)
-    b_y = reversed_drift_y(theta, T, s, y, z)
-    return b_y * float(coeffs.beta(y))  # 1/sigma = beta
-
-
-def reversed_drift_reflected(s: float, z: float) -> float:
-    """Drift z/s of time-reversed reflected Brownian motion (z >= 0, s > 0)."""
-    _require_positive("s", s)
-    if z < 0.0:
-        raise ValueError(f"z must be nonnegative, got {z}")
-    return z / s
 
 
 def _bridge_draws(rng, m: int):

@@ -13,11 +13,13 @@ Exit codes: 0 = success and every check passed; 1 = a verification or a
 per-row domain check failed; 2 = usage or configuration error, a run whose
 arrays do not fit in memory, a worker process that died, or an interrupt
 (Ctrl-C).  ``--workers`` sets the processes a command runs on, at most
-``WORKERS_PER_CPU`` per available CPU: ``verify`` spreads its units over
-them; ``simulate`` and ``reverse`` split their paths into contiguous ranges,
-write the first straight into the CSV and have forked workers write the
-others to hidden part files beside it, appended in path order.  Each path
-draws from its own stream, so the bytes do not depend on the worker count.
+``WORKERS_PER_CPU`` per available CPU, and every command forks them the one
+way ``core._fork_map`` does, running one share itself: ``verify`` deals its
+units into shares up front, heaviest first; ``simulate`` and
+``reverse`` split their paths into contiguous ranges, write the first
+straight into the CSV and have the workers write the others to hidden part
+files beside it, appended in path order.  Each path draws from its own
+stream, so the bytes do not depend on the worker count.
 Options resolve as flags first, then an optional ``KEY=VALUE`` config file
 (``--config``), then the ``HDP_LAB_SEED`` environment variable for the
 master seed, then built-in defaults.  CSV numbers carry 17 significant
@@ -29,12 +31,10 @@ are removed when a command fails.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
 import os
-import pickle
 import sys
 import tempfile
 import warnings
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .analytics import joint_density_BL, joint_density_YB, msd, reversed_bridge_ensemble
-from .core import SeedSpec, make_grid, sample_brownian
+from .core import SeedSpec, _fork_map, _require_positive, make_grid, sample_brownian
 from .experiments import SUITES, run_suite
 from .skew import (
     SkewCoefficients,
@@ -273,32 +273,28 @@ def _write_ensemble(
 ) -> None:
     """Write an ensemble CSV whose blocks ``write_range(fh, start, stop)`` writes for paths [start, stop).
 
-    With one worker this process writes every block.  Otherwise the paths
-    split into ``workers`` contiguous ranges: this process writes the first
-    straight into the CSV while forked workers write the others to part
-    files beside it, which are then appended in path order by a kernel-side
-    copy and deleted.  Every path draws from its own stream, so the bytes do
-    not depend on the split.  The part files get new hidden names
-    (``.<csv name>.<random>``), so no file already there is overwritten, and
-    they are registered in ``written``, so a failed run leaves none behind.
+    The paths split into ``workers`` contiguous ranges: this process writes
+    the first straight into the CSV while forked workers (``_fork_map``)
+    write the others to part files beside it, which are then appended in
+    path order by a kernel-side copy and deleted.  Every path draws from its
+    own stream, so the bytes do not depend on the split.  The part files get
+    new hidden names (``.<csv name>.<random>``), so no file already there is
+    overwritten, and they are registered in ``written``, so a failed run
+    leaves none behind.
     """
     bounds = [paths * k // workers for k in range(workers + 1)]
     with _open_csv(csv_path, header, written) as fh:
-        if workers == 1:
-            write_range(fh, 0, paths)
-            return
         out, name = os.path.split(csv_path)
-        ranges = []
+        shares = [(None, bounds[0], bounds[1])]
         for k in range(1, workers):
             fd, part = tempfile.mkstemp(prefix=f".{name}.", dir=out)
             os.close(fd)
             written.append(part)
-            ranges.append((part, bounds[k], bounds[k + 1]))
+            shares.append((part, bounds[k], bounds[k + 1]))
         fh.flush()  # the workers inherit the handle: nothing may sit in its buffer
-        with _fork_ranges(write_range, ranges):
-            write_range(fh, bounds[0], bounds[1])
+        _fork_map(functools.partial(_write_share, fh, write_range), shares)
         fh.flush()
-        for part, _, _ in ranges:
+        for part, _, _ in shares[1:]:
             with open(part, "rb") as src:
                 offset = 0
                 # one sendfile call copies at most about 2 GiB
@@ -307,86 +303,14 @@ def _write_ensemble(
             os.unlink(part)
 
 
-def _write_part(path: str, write_range, start: int, stop: int) -> None:
-    """A forked worker's share: the blocks of paths [start, stop) in their own file."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _write_share(fh, write_range, share: tuple) -> None:
+    """The blocks of ``share = (part, start, stop)``: into ``fh``, or into the part file if it names one."""
+    part, start, stop = share
+    if part is None:
         write_range(fh, start, stop)
-
-
-@contextlib.contextmanager
-def _fork_ranges(write_range, ranges: list):
-    """Forked workers, one per ``(part file, start, stop)`` in ``ranges``, each writing its part.
-
-    Entering starts them all, so they run while the caller writes its own
-    range; a clean exit then waits for each in turn and re-raises its
-    failure here: the exception it sent back through its pipe (so a worker
-    out of memory still reads ``error: out of memory``), or
-    :class:`ChildProcessError` for one that died.  Any exit terminates the
-    workers still running and joins every one.  They are
-    ``multiprocessing`` processes, not bare forks, so the after-fork hooks
-    and exit finalizers registered with ``multiprocessing.util`` (a tracer's,
-    say) run in them.  SIGINT is blocked while they start and ignored in
-    them: on a Ctrl-C, which reaches the whole process group, this process
-    alone gets the ``KeyboardInterrupt``, and never between forking a worker
-    and recording it.
-    """
-    import multiprocessing
-    import signal
-
-    context = multiprocessing.get_context("fork")
-    workers = []  # (process, read end of its error pipe)
-    try:
-        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            for part, start, stop in ranges:
-                read_fd, write_fd = os.pipe()
-                process = context.Process(
-                    target=_run_range, args=(write_fd, part, write_range, start, stop)
-                )
-                workers.append((process, read_fd))
-                try:
-                    process.start()
-                finally:
-                    os.close(write_fd)
-        finally:
-            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-        yield
-        for process, read_fd in workers:
-            with open(read_fd, "rb", closefd=False) as pipe:
-                error = pipe.read()
-            process.join()
-            if error:
-                raise pickle.loads(error)
-            if process.exitcode:
-                raise ChildProcessError(
-                    f"a forked ensemble worker died before its work finished (exit code {process.exitcode})"
-                )
-    finally:
-        for process, read_fd in workers:
-            if process.pid is not None:  # started
-                if process.is_alive():
-                    process.terminate()
-                process.join()
-            os.close(read_fd)
-
-
-def _run_range(error_fd: int, part: str, write_range, start: int, stop: int) -> None:
-    """A forked worker: writes its part file, or sends its exception back and exits 1."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-    try:
-        _write_part(part, write_range, start, stop)
-    except Exception as exc:  # the worker's boundary: its failure goes back to the parent
-        try:
-            error = pickle.dumps(exc)
-            pickle.loads(error)
-        except Exception:  # an exception that does not survive the trip goes back as text
-            error = pickle.dumps(ChildProcessError(f"{type(exc).__name__}: {exc}"))
-        with open(error_fd, "wb") as pipe:
-            pipe.write(error)
-        sys.exit(1)
+        return
+    with open(part, "w", encoding="utf-8", newline="\n") as own:
+        write_range(own, start, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +483,7 @@ def cmd_density(args, written: list) -> int:
         raise CliError("density requires --points (CSV file of evaluation points)")
     theta = _resolve(args, "theta")
     t = _resolve(args, "t_end")
+    _require_positive("t", t)  # the joint-yb rows outside the wedge never reach a density
     x0 = _resolve(args, "x0")
     if which == "skew":
         labels = ("b",)

@@ -4,16 +4,18 @@ Every stochastic routine in the package draws from a counter-based Philox
 generator addressed by ``(master_seed, stream_index)``.  Stream k is the
 master generator jumped ahead k times, so ensemble members are independent
 and bit-for-bit reproducible regardless of the order in which they are
-simulated (or of how work is split across processes).  ``_fork_pool`` is
-the process pool that ``verify`` spreads its units over; ensemble path
-ranges go to forked workers of their own (``cli._fork_ranges``).
+simulated (or of how work is split across processes).  ``_fork_map`` is
+the one way the package forks workers: ``verify`` runs its shares of units
+on it, ``simulate`` and ``reverse`` their ranges of paths.
 """
 
 from __future__ import annotations
 
-import contextlib
 import operator
+import os
+import pickle
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import numpy.random  # loaded here, not at the first draw: almost every command draws
@@ -24,7 +26,6 @@ __all__ = [
     "SeedSpec",
     "make_grid",
     "sample_brownian",
-    "refine",
 ]
 
 
@@ -167,47 +168,88 @@ def _skip_doubles(rng: np.random.Generator, m: int) -> None:
     bitgen.random_raw(left - _PHILOX_BLOCK * skipped)
 
 
-@contextlib.contextmanager
-def _fork_pool(workers: int, what: str):
-    """A process pool of ``workers`` forked processes, every one joined on exit.
+def _fork_map(work: Callable, shares: list) -> list:
+    """``[work(share) for share in shares]``, the first share here and each other in a forked worker.
 
-    ``verify`` alone uses it: its units need a work queue and returned
-    reports, and its parent only waits in ``pool.map``.  Forked, not
-    spawned: workers start with the modules imported here, in their state as
-    it is here, and the pool forks them all before it starts a thread of its
-    own.  A module the work imports only as it runs, every worker imports
-    again, so callers import it first (``run_suite`` imports its checks'
-    declared ``imports``).  The pool modules are imported only here, so
-    importing the package starts no pool machinery.  A worker that dies
-    raises :class:`ChildProcessError` naming the ``what`` pool; on any exit
-    the pending tasks are cancelled and every worker is joined.  Workers
-    ignore SIGINT: on a Ctrl-C, which reaches the whole process group, this
-    process alone gets the ``KeyboardInterrupt`` and ends them, so the
-    shutdown does not wait for their work.
+    Every worker starts before this process runs its own share, so all run
+    at once.  A worker sends back its result, or the exception it raised,
+    pickled through a pipe, and the exception is raised here: a worker out
+    of memory still reads ``error: out of memory``, and one whose exception
+    does not survive the trip sends its text in a :class:`ChildProcessError`.
+    A worker that died with no message raises :class:`ChildProcessError`.
+    On any exit the workers still running are terminated and every one is
+    joined.  Forked, not spawned: workers start with the modules imported
+    here, in their state as it is here.  A module the work imports only as
+    it runs, every worker imports again, so callers import it first
+    (``run_suite`` imports its checks' declared ``imports``).  They are
+    ``multiprocessing`` processes, not bare forks, so the after-fork hooks
+    and exit finalizers registered with ``multiprocessing.util`` (a
+    tracer's, say) run in them; ``multiprocessing`` is imported only for a
+    second share, so a run on one process never loads it.  SIGINT is
+    blocked while the workers start and ignored in them: on a Ctrl-C, which
+    reaches the whole process group, this process alone gets the
+    ``KeyboardInterrupt``, and never between forking a worker and recording
+    it.
     """
+    if len(shares) == 1:
+        return [work(shares[0])]
     import multiprocessing
     import signal
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=signal.signal,
-        initargs=(signal.SIGINT, signal.SIG_IGN),
-    )
+    context = multiprocessing.get_context("fork")
+    workers = []  # (process, read end of its pipe)
     try:
-        yield pool
-    except BrokenProcessPool as exc:
-        message = f"a worker process of the {what} pool died before its work finished ({exc})"
-        raise ChildProcessError(message) from None
-    except KeyboardInterrupt:
-        # the executor has no public call that ends its workers before Python 3.14
-        for process in list(pool._processes.values()):
-            process.terminate()
-        raise
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for share in shares[1:]:
+                read_fd, write_fd = os.pipe()
+                process = context.Process(target=_run_share, args=(write_fd, work, share))
+                workers.append((process, read_fd))
+                try:
+                    process.start()
+                finally:
+                    os.close(write_fd)
+        finally:
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        results = [work(shares[0])]
+        for process, read_fd in workers:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                message = pipe.read()
+            process.join()
+            if not message:
+                raise ChildProcessError(
+                    f"a forked worker died before its work finished (exit code {process.exitcode})"
+                )
+            ok, value = pickle.loads(message)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for process, read_fd in workers:
+            if process.pid is not None:  # started
+                if process.is_alive():
+                    process.terminate()
+                process.join()
+            os.close(read_fd)
+
+
+def _run_share(pipe_fd: int, work: Callable, share) -> None:
+    """A forked worker: sends ``(True, work(share))``, or ``(False, exception)``, through its pipe."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    try:
+        message = pickle.dumps((True, work(share)))
+    except Exception as exc:  # the worker's boundary: its failure goes back to the parent
+        try:
+            message = pickle.dumps((False, exc))
+            pickle.loads(message)
+        except Exception:  # an exception that does not survive the trip goes back as text
+            message = pickle.dumps((False, ChildProcessError(f"{type(exc).__name__}: {exc}")))
+    with open(pipe_fd, "wb") as pipe:
+        pipe.write(message)
 
 
 def make_grid(t_end: float, n_steps: int) -> TimeGrid:
@@ -226,37 +268,3 @@ def sample_brownian(grid: TimeGrid, seed: SeedSpec) -> Path:
     values[0] = 0.0
     np.cumsum(steps, out=values[1:])
     return Path(grid, values)
-
-
-def refine(path: Path, factor: int, seed: SeedSpec) -> Path:
-    """Refine a Brownian path by Brownian-bridge interpolation.
-
-    Each coarse interval is subdivided into ``factor`` sub-steps; interior
-    values are drawn sequentially from the bridge conditional on the two
-    coarse endpoints, so the restriction of the output to the coarse nodes
-    reproduces the input exactly.  With one coarse step of length t the
-    inserted midpoint (factor = 2) has conditional variance t / 4.
-    """
-    if int(factor) != factor or factor < 2:
-        raise ValueError(f"factor must be an integer >= 2, got {factor}")
-    factor = int(factor)
-    rng = seed.generator()
-    n = path.grid.n_steps
-    sub_h = path.grid.h / factor
-
-    # block[i, j] = value at sub-node j of coarse interval i
-    block = np.empty((n, factor + 1))
-    block[:, 0] = path.values[:-1]
-    block[:, factor] = path.values[1:]
-    current = block[:, 0].copy()
-    for j in range(1, factor):
-        remaining = factor - (j - 1)  # sub-steps from current position to the right end
-        mean = current + (block[:, factor] - current) / remaining
-        var = sub_h * (remaining - 1) / remaining
-        current = mean + np.sqrt(var) * rng.standard_normal(n)
-        block[:, j] = current
-
-    values = np.empty(n * factor + 1)
-    values[0] = path.values[0]
-    values[1:] = block[:, 1:].ravel()
-    return Path(TimeGrid(path.grid.t_end, n * factor), values)

@@ -11,8 +11,10 @@ A check is made of **units**, one per parameter point (a theta, an
 (alpha, theta) pair, a (theta, t) pair, ...), each drawing from its own
 frozen seeds in a fixed order, so a unit gives the same reports wherever
 and whenever it runs.  ``check()`` runs every unit in order and
-``check(i)`` only unit ``i``; :func:`run_suite` spreads the units of a
-suite over worker processes and puts the reports back in registry order.
+``check(i)`` only unit ``i``; :func:`run_suite` deals the units of a
+suite into shares up front, heaviest first by their measured seconds, runs
+the lightest share in its own process and the others in forked workers, and
+puts the reports back in registry order.
 ``elapsed_s`` on a report is the wall-clock seconds of the call that made
 it; in :func:`run_suite` output it is the sum over the check's units, so it
 measures the check's work, not the time its units overlapped.
@@ -38,7 +40,7 @@ from .analytics import (
     msd,
     reversed_bridge_ensemble,
 )
-from .core import Path, SeedSpec, _fork_pool, make_grid, sample_brownian
+from .core import Path, SeedSpec, _fork_map, make_grid, sample_brownian
 from .integrals import (
     PvReport,
     bracket_convergence,
@@ -79,8 +81,10 @@ def _check(*points: tuple, seconds: tuple = (), imports: tuple = ()):
     The check takes unit indices: ``check()`` runs every unit in order,
     ``check(i, ...)`` only those.  The reports of a call are stamped with its
     wall-clock seconds as ``elapsed_s``.  ``seconds`` are the units' serial
-    seconds as measured (2 vCPUs), left out where they take a few hundredths;
-    :func:`run_suite` hands the heaviest units to its workers first.
+    seconds as measured (2 vCPUs), left out where they take a few hundredths.
+    :func:`run_suite` deals the units into its shares by them before any
+    runs, and a share that ends early takes over no work, so a stale entry
+    costs wall time.
     ``imports`` names the modules the units import inside their functions
     (scipy's, which importing the package leaves unloaded): :func:`run_suite`
     imports them before it forks its workers or runs the first unit, so no
@@ -627,41 +631,49 @@ SUITES: dict[str, list[Callable[[], list[VerificationReport]]]] = {
 }
 
 
-def _run_unit(unit: tuple[str, int, int]) -> list[VerificationReport]:
-    """Reports of one unit, addressed as (suite, position of its check, unit index)."""
-    suite, position, index = unit
-    return SUITES[suite][position](index)
-
-
 def _unit_seconds(unit: tuple[str, int, int]) -> float:
+    """Measured serial seconds of a unit, addressed as (suite, position of its check, unit index)."""
     suite, position, index = unit
     return SUITES[suite][position].unit_seconds[index]
 
 
-def _run_pool(units: list, workers: int) -> list:
-    """Per-unit reports from ``workers`` forked processes, in the order of ``units``.
+def _run_units(share: list) -> list[list[VerificationReport]]:
+    """Per-unit reports of one share of units, in the share's order."""
+    return [SUITES[suite][position](index) for suite, position, index in share]
 
-    The units are handed out heaviest first by their measured seconds (ties
-    in registry order), so no long unit starts while the other workers run
-    out of work.  The workers are forked, so they see the registry as it is
-    here; every worker is joined before this returns, also when a unit
-    raises.
+
+def _deal(units: list, workers: int) -> list[list]:
+    """The units dealt into ``workers`` shares up front by their measured seconds, lightest share first.
+
+    Heaviest first (ties in registry order), each unit joins the share with
+    the fewest seconds so far, of those the one with the fewest units, of
+    those the first.  So the longest units start at once, and units of
+    equal weight split evenly: six 0-second units go 3/3 over two shares.
+    The lightest share comes first because :func:`run_suite` runs the first
+    share in its own process, where a unit's peak RSS reads about 10 MB
+    above what it reads in a forked worker (which leaves out the library
+    pages it never touches); so the heaviest units, here also the largest,
+    run in workers.
     """
-    order = sorted(range(len(units)), key=lambda i: -_unit_seconds(units[i]))
-    with _fork_pool(workers, "verify") as pool:
-        by_unit = dict(zip(order, pool.map(_run_unit, [units[i] for i in order])))
-    return [by_unit[i] for i in range(len(units))]
+    shares: list[list] = [[] for _ in range(workers)]
+    loads = [0.0] * workers
+    for unit in sorted(units, key=lambda unit: -_unit_seconds(unit)):
+        k = min(range(workers), key=lambda k: (loads[k], len(shares[k])))
+        shares[k].append(unit)
+        loads[k] += _unit_seconds(unit)
+    return [shares[k] for k in sorted(range(workers), key=loads.__getitem__)]
 
 
 def run_suite(name: str, workers: int | None = None) -> list[VerificationReport]:
     """Run every check registered under a suite name ('all' runs everything).
 
     The modules the suites' checks declare are imported first, here.  The
-    checks' units run in ``workers`` forked processes, by default one per
-    available CPU; never more workers than units start, and with one worker
-    the units run in this process, in order.  The reports come back
-    in registry order, each check's ``elapsed_s`` being the sum of its
-    units' seconds.  A worker that dies raises :class:`ChildProcessError`.
+    checks' units are dealt into ``workers`` shares (:func:`_deal`), by
+    default one per available CPU and never more than units; this process
+    runs the lightest share and forked workers the others
+    (``core._fork_map``), so one worker means no fork.  The reports come back in registry order,
+    each check's ``elapsed_s`` being the sum of its units' seconds.  A worker
+    that dies raises :class:`ChildProcessError`.
     """
     if name == "all":
         names = list(SUITES)
@@ -682,13 +694,15 @@ def run_suite(name: str, workers: int | None = None) -> list[VerificationReport]
     declared = {module for suite in names for check in SUITES[suite] for module in check.imports}
     for module in sorted(declared):
         importlib.import_module(module)
-    if workers == 1:
-        results = [_run_unit(unit) for unit in units]
-    else:
-        results = _run_pool(units, workers)
+    shares = _deal(units, workers)
+    results = _fork_map(_run_units, shares)
+    by_unit = {
+        unit: unit_reports for share, reports in zip(shares, results)
+        for unit, unit_reports in zip(share, reports)
+    }
     by_check: dict[tuple, list] = {}
-    for (suite, position, _), unit_reports in zip(units, results):
-        by_check.setdefault((suite, position), []).append(unit_reports)
+    for suite, position, index in units:
+        by_check.setdefault((suite, position), []).append(by_unit[suite, position, index])
     reports = []
     for parts in by_check.values():
         elapsed = round(sum(part[0].metadata["elapsed_s"] for part in parts), 3)

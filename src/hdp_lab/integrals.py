@@ -14,7 +14,6 @@ node-wise to rounding, for every integrand/driver pair on a shared grid.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,8 +36,6 @@ __all__ = [
     "default_eps_sequence",
     "pv_integral",
     "sde_residual",
-    "ito_form_residual",
-    "chain_rule_residual",
     "abs_power_along_path",
 ]
 
@@ -245,76 +242,3 @@ def sde_residual(params: ModelParams, X: Path, driver: Path) -> Path:
     integrand = Path(X.grid, abs_power_along_path(X.values, params.alpha))
     sym = stratonovich_sum(integrand, driver)
     return Path(X.grid, X.values - X.values[0] - sym.curve.values)
-
-
-def ito_form_residual(params: ModelParams, X: Path, driver: Path, use_pv: bool = False) -> Path:
-    """Residual of the forward-Ito form with drift (alpha/2) * (X)^(2*alpha - 1) dt.
-
-    The drift is a left-endpoint Lebesgue sum; with ``use_pv`` the summand is
-    truncated at |X| <= 10*sqrt(h), tying the principal-value cutoff to the
-    grid's spatial resolution.  At alpha = 0 the drift coefficient vanishes
-    identically and the drift sum is skipped.  A negative alpha without pv is
-    a non-integrable configuration and draws a warning.
-    """
-    _require_same_grid(X, driver)
-    alpha = params.alpha
-    integrand = Path(X.grid, abs_power_along_path(X.values, alpha))
-    forward = ito_sum(integrand, driver).curve.values
-
-    if alpha == 0.0:
-        drift = 0.0
-    else:
-        if alpha < 0.0 and not use_pv:
-            warnings.warn(
-                f"Lebesgue drift integral is non-integrable for alpha = {alpha} < 0; "
-                "consider use_pv=True",
-                stacklevel=2,
-            )
-        summand = signed_power(X.values[:-1], 2.0 * alpha - 1.0)
-        if use_pv:
-            summand = np.where(np.abs(X.values[:-1]) > 10.0 * math.sqrt(X.grid.h), summand, 0.0)
-        drift_curve = np.empty(X.grid.n_steps + 1)
-        drift_curve[0] = 0.0
-        np.cumsum(summand, out=drift_curve[1:])
-        drift = (alpha / 2.0) * X.grid.h * drift_curve
-
-    return Path(X.grid, X.values - X.values[0] - forward - drift)
-
-
-def chain_rule_residual(
-    g: Callable,
-    dg: Callable,
-    d2g: Callable,
-    phi: Callable,
-    dphi: Callable,
-    X: Path,
-    driver: Path,
-    delta: float,
-) -> Path:
-    """Residual of the forward chain rule for g vanishing on [-delta, delta]:
-
-        g(X_t) = g(X_0) + sum dg(X) phi(X) dB + 1/2 sum phi(X)(d2g(X) phi(X) + dg(X) dphi(X)) dt
-
-    with forward sums throughout.  g must vanish identically on the stated
-    neighborhood of 0 (sampled check); its first two derivatives and phi,
-    phi' are supplied by the caller.
-    """
-    _require_same_grid(X, driver)
-    _require_positive("delta", delta)
-    probe = np.linspace(-delta, delta, 257)
-    if np.max(np.abs(np.asarray(g(probe), dtype=float))) > 0.0:
-        raise ValueError("g must vanish identically on [-delta, delta]")
-
-    x = X.values
-    gx = np.asarray(g(x), dtype=float)
-    weight = np.asarray(dg(x), dtype=float) * np.asarray(phi(x), dtype=float)
-    forward = ito_sum(Path(X.grid, weight), driver).curve.values
-    second = np.asarray(phi(x), dtype=float) * (
-        np.asarray(d2g(x), dtype=float) * np.asarray(phi(x), dtype=float)
-        + np.asarray(dg(x), dtype=float) * np.asarray(dphi(x), dtype=float)
-    )
-    leb = np.empty(X.grid.n_steps + 1)
-    leb[0] = 0.0
-    np.cumsum(second[:-1], out=leb[1:])
-    residual = gx - gx[0] - forward - 0.5 * X.grid.h * leb
-    return Path(X.grid, residual)

@@ -33,7 +33,6 @@ __all__ = [
     "CoupledSkewPath",
     "simulate_skew_pair",
     "local_time_occupation",
-    "oscillating_from_skew",
     "skew_transition_sample",
     "skew_chain_terminals",
     "skew_density",
@@ -188,23 +187,6 @@ def local_time_occupation(path: Path, epsilon: float) -> Path:
     np.cumsum(weights, out=estimate[1:])
     estimate[1:] *= path.grid.h / (2.0 * epsilon)
     return Path(path.grid, estimate)
-
-
-def oscillating_from_skew(coupled: CoupledSkewPath) -> Path:
-    """Transform the skew path to the oscillating one: Y = s(B^theta).
-
-    r(Y) recovers skew_B node-wise.  At |theta| = 1 the map is finite only on
-    the side the skew path actually lives on; values on the degenerate side
-    (possible only for starts there) are rejected.
-    """
-    coeffs = SkewCoefficients(coupled.theta)
-    y = coeffs.s(coupled.skew_B.values)
-    if not np.all(np.isfinite(y)):
-        raise ValueError(
-            "oscillating transform is infinite where sigma degenerates "
-            f"(theta = {coupled.theta}, path visits the unreachable half-line)"
-        )
-    return Path(coupled.grid, y)
 
 
 #: A draw from modulus xa to rho can leave its side only where rho*xa < 33*t.

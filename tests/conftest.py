@@ -20,9 +20,10 @@ CHILD_GRACE_S = 5.0
 def no_leaked_child_process():
     """Fail a test after which this process still has a child, unreaped or running.
 
-    The verify and ensemble pools join every worker before they return, also
-    on failure.  A child left behind is reaped here if it ends within
-    ``CHILD_GRACE_S``, so the failure stays with the test that left it.
+    ``core._fork_map``, which verify and the ensembles fork through, joins
+    every worker before it returns, also on failure.  A child left behind is
+    reaped here if it ends within ``CHILD_GRACE_S``, so the failure stays
+    with the test that left it.
     """
     yield
     deadline = time.monotonic() + CHILD_GRACE_S

@@ -20,13 +20,7 @@ from hdp_lab import (
     reversed_pair_bridge,
     skew_transition_sample,
 )
-from hdp_lab.analytics import (
-    _bridge_draws,
-    _reversed_bridge_core,
-    reversed_drift_reflected,
-    reversed_drift_y,
-    reversed_drift_z,
-)
+from hdp_lab.analytics import _bridge_draws, _reversed_bridge_core
 from hdp_lab.stats import ks_test
 
 from test_core import _full_state
@@ -90,23 +84,6 @@ class TestJointDensities:
     def test_yb_degenerate_theta_rejected(self):
         with pytest.raises(ValueError, match="theta = 0"):
             joint_density_YB(0.0, 1.0, 0.5, 0.1)
-
-
-class TestReversedDrifts:
-    def test_frozen_values(self):
-        assert reversed_drift_y(0.5, 1.0, 0.5, 1.0, 0.0) == pytest.approx(
-            -5.4074074074074066, rel=1e-13
-        )
-        assert reversed_drift_z(0.5, 1.0, 0.5, 1.0, 0.0) == pytest.approx(
-            -4.055555555555555, rel=1e-13
-        )
-        assert reversed_drift_reflected(0.25, 0.8) == pytest.approx(3.2, rel=1e-13)
-
-    def test_mirror_antisymmetry(self):
-        for s, y, z in ((0.5, 0.7, -0.2), (0.2, -0.4, -0.9), (0.8, 1.1, 0.3)):
-            assert reversed_drift_y(0.5, 1.0, s, y, z) == pytest.approx(
-                -reversed_drift_y(-0.5, 1.0, s, -y, -z), rel=1e-12
-            )
 
 
 class TestBridgeReversal:

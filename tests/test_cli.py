@@ -196,6 +196,19 @@ class TestDensity:
         assert rows[0][1] == rows[1][1] == "nan"
         assert "2 flagged" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("t_end", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("which, row", [("skew", "0.1"), ("joint-bl", "0.1,0.2"), ("joint-yb", "0.1,0.2")])
+    def test_bad_t_end_exits_2_before_any_row(self, tmp_path, capsys, t_end, which, row):
+        # (0.1, 0.2) lies outside the joint-yb wedge at theta = 0.5: no row reaches a density
+        points = tmp_path / "pts.csv"
+        points.write_text(f"{row}\n")
+        out = tmp_path / "out"
+        argv = ["density", "--which", which, "--theta", "0.5", "--t-end", t_end,
+                "--points", str(points), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: t must be positive and finite, got {float(t_end)}\n"
+        assert not out.exists()
+
     def test_wrong_column_count_exits_2(self, tmp_path):
         points = tmp_path / "pts.csv"
         points.write_text("y,z\n0.1\n")
@@ -723,18 +736,18 @@ class TestEnsembleWorkerFailures:
 
     def test_narrow_reverse_forks_no_worker(self, tmp_path, monkeypatch):
         forked = []
-        fork_ranges = cli._fork_ranges
+        fork_map = cli._fork_map
 
-        def spy(write_range, ranges):
-            forked.append(len(ranges))
-            return fork_ranges(write_range, ranges)
+        def spy(work, shares):
+            forked.append(len(shares) - 1)  # the first share runs in this process
+            return fork_map(work, shares)
 
-        monkeypatch.setattr(cli, "_fork_ranges", spy)
+        monkeypatch.setattr(cli, "_fork_map", spy)
         monkeypatch.setattr(cli, "_FORK_PATH_STEPS", 1)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(4)))
         for command in (["reverse"], ["simulate", "--family", "skew"]):
             assert main([*command, "--paths", "7", "--steps", "5", "--out", str(tmp_path / command[0])]) == 0
-        assert forked == [3]  # simulate: this process and 3 forked workers; reverse: none
+        assert forked == [0, 3]  # reverse: none; simulate: this process and 3 forked workers
 
     def test_default_worker_count(self, monkeypatch):
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(4)))
@@ -750,13 +763,6 @@ class TestEnsembleWorkerFailures:
         assert cli._ensemble_workers(args, 5, 1) == 5
 
 
-class _InProcessPool:
-    """A stand-in for the forked verify pool: runs every task here, at once."""
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
-
 def _cheap_units(*names):
     return [VerificationReport(name, 0.0, 0.0, 0.0, True, {}) for name in names]
 
@@ -766,23 +772,15 @@ class TestWorkerCeiling:
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
-        """Sizes asked of the ensemble workers and the verify pool, which fork nothing; one CPU available."""
+        """Share counts asked of the fork by the ensembles and verify, run here, unforked; one CPU available."""
         sizes = []
 
-        @contextlib.contextmanager
-        def ranges_here(write_range, ranges):
-            sizes.append(len(ranges))
-            for part, start, stop in ranges:
-                cli._write_part(part, write_range, start, stop)
-            yield
+        def shares_here(work, shares):
+            sizes.append(len(shares))
+            return [work(share) for share in shares]
 
-        @contextlib.contextmanager
-        def stand_in(workers, what):
-            sizes.append(workers)
-            yield _InProcessPool()
-
-        monkeypatch.setattr(cli, "_fork_ranges", ranges_here)
-        monkeypatch.setattr(experiments, "_fork_pool", stand_in)
+        monkeypatch.setattr(cli, "_fork_map", shares_here)
+        monkeypatch.setattr(experiments, "_fork_map", shares_here)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         cheap = experiments._check(*[(f"unit {i}",) for i in range(6)])(_cheap_units)
         monkeypatch.setitem(experiments.SUITES, "heat", [cheap])
@@ -819,7 +817,7 @@ class TestWorkerCeiling:
         argv = ["simulate", "--family", "skew", "--paths", "5", "--steps", "40"]
         assert main([*argv, "--workers", limit, "--out", str(tmp_path / "simulate")]) == 0
         assert main(["verify", "--suite", "heat", "--workers", limit, "--out", str(tmp_path)]) == 0
-        assert pool_sizes == [cli.WORKERS_PER_CPU - 1, cli.WORKERS_PER_CPU]
+        assert pool_sizes == [cli.WORKERS_PER_CPU, cli.WORKERS_PER_CPU]
 
 
 class TestPartFiles:

@@ -1,5 +1,6 @@
 """Grid, path, and seeded-stream foundations."""
 
+import os
 import signal
 import time
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdp_lab import Path, SeedSpec, TimeGrid, make_grid, refine, sample_brownian
-from hdp_lab.core import _fork_pool, _skip_doubles
+from hdp_lab import Path, SeedSpec, TimeGrid, make_grid, sample_brownian
+from hdp_lab.core import _fork_map, _skip_doubles
 
 
 class TestTimeGrid:
@@ -99,32 +100,6 @@ class TestSampleBrownian:
         assert abs(np.var(inc) - grid.h) < 4.0 * grid.h * np.sqrt(2.0 / inc.size)
 
 
-class TestRefine:
-    def test_restriction_reproduces_coarse_path(self):
-        coarse = sample_brownian(make_grid(1.0, 16), SeedSpec(11))
-        fine = refine(coarse, 8, SeedSpec(12))
-        assert fine.grid.n_steps == 128
-        np.testing.assert_array_equal(fine.values[::8], coarse.values)
-
-    def test_factor_validation(self):
-        path = sample_brownian(make_grid(1.0, 4), SeedSpec(1))
-        for factor in (1, 0, 2.5):
-            with pytest.raises(ValueError):
-                refine(path, factor, SeedSpec(2))
-
-    def test_midpoint_bridge_variance(self):
-        # one coarse step of length 1: the inserted midpoint is N(mean, 1/4)
-        grid = make_grid(1.0, 1)
-        mids = np.array(
-            [
-                refine(Path(grid, np.array([0.0, 0.0])), 2, SeedSpec(300, i)).values[1]
-                for i in range(4000)
-            ]
-        )
-        assert abs(np.var(mids) - 0.25) < 4.0 * 0.25 * np.sqrt(2.0 / mids.size)
-        assert abs(np.mean(mids)) < 4.0 * 0.5 / np.sqrt(mids.size)
-
-
 def _full_state(rng):
     """Every field of a Philox generator's state, comparable with ==."""
     state = rng.bit_generator.state
@@ -177,18 +152,50 @@ class TestSkipDoubles:
         np.testing.assert_array_equal(skipped.standard_normal(9), drawn.standard_normal(9))
 
 
-class TestForkPool:
-    def test_workers_ignore_sigint(self):
-        with _fork_pool(1, "test") as pool:
-            assert pool.submit(signal.getsignal, signal.SIGINT).result() == signal.SIG_IGN
+def _share_and_pid(share):
+    return share, os.getpid()
 
-    def test_interrupt_ends_a_busy_worker_at_once(self):
-        """The interrupted parent ends its workers; the shutdown does not wait out their work."""
+
+def _exit_in_a_worker(share):
+    if share:
+        os._exit(3)
+
+
+class TestForkPool:
+    """The one fork primitive, ``_fork_map``: its first share runs here, each other in a forked worker."""
+
+    def test_first_share_here_the_others_in_workers_in_order(self):
+        results = _fork_map(_share_and_pid, ["a", "b", "c"])
+        assert [share for share, _ in results] == ["a", "b", "c"]
+        pids = [pid for _, pid in results]
+        assert pids[0] == os.getpid() and len(set(pids)) == 3
+
+    def test_workers_ignore_sigint(self):
+        handlers = _fork_map(lambda share: signal.getsignal(signal.SIGINT), [0, 1])
+        assert handlers[1] == signal.SIG_IGN
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+    def test_a_worker_exception_is_raised_here(self):
+        with pytest.raises(ZeroDivisionError):
+            _fork_map(lambda share: 1 / share, [1, 0])
+
+    def test_a_worker_that_dies_raises_child_process_error(self):
+        with pytest.raises(ChildProcessError, match="exit code 3"):
+            _fork_map(_exit_in_a_worker, [0, 1])
+
+    def test_interrupt_ends_a_busy_worker_at_once(self, tmp_path):
+        """The interrupted parent ends its workers; it does not wait out their work."""
+        busy = tmp_path / "busy"
+
+        def work(share):
+            if share:
+                busy.touch()
+                time.sleep(60.0)
+            while not busy.exists():
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            with _fork_pool(1, "test") as pool:
-                busy = pool.submit(time.sleep, 60.0)
-                while not busy.running():
-                    time.sleep(0.01)
-                raise KeyboardInterrupt
+            _fork_map(work, [0, 1])
         assert time.monotonic() - start < 30.0

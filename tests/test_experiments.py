@@ -1,6 +1,5 @@
 """The verify scheduler: check units over forked workers, reports in registry order."""
 
-import concurrent.futures
 import itertools
 import json
 import os
@@ -95,29 +94,49 @@ def test_reports_come_back_in_registry_order(monkeypatch, workers):
     assert names == ["a0", "a1", "b0", "b1", "b2"]
 
 
-def test_heaviest_unit_is_submitted_first(monkeypatch):
-    submitted = []
+def test_units_are_dealt_heaviest_first_into_the_lightest_share(monkeypatch):
+    dealt = []
 
-    class InProcessPool:
-        """Runs the units here, in the order the scheduler hands them out."""
+    def in_process(work, shares):
+        dealt.extend(shares)
+        return [work(share) for share in shares]
 
-        def __init__(self, workers, mp_context=None, initializer=None, initargs=()):
-            pass
-
-        def map(self, fn, units):
-            submitted.extend(units)
-            return map(fn, submitted)
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(experiments, "_fork_map", in_process)
     light = _check((0.0, "a0"), (0.0, "a1"))(_sleepy)
     heavy = _check((0.0, "b0"), (0.0, "b1"), (0.0, "b2"), seconds=(0.5, 7.0, 0.5))(_sleepy)
     monkeypatch.setitem(SUITES, "heat", [light, heavy])
     names = [r.check_name for r in run_suite("heat", workers=2)]
-    assert submitted == [("heat", 1, 1), ("heat", 1, 0), ("heat", 1, 2), ("heat", 0, 0), ("heat", 0, 1)]
+    # b1 (7 s) comes first; the rest, heaviest first and ties in registry order,
+    # all join the share that stays the lighter, though it holds more units;
+    # the lighter share comes first, for this process to run
+    assert dealt == [
+        [("heat", 1, 0), ("heat", 1, 2), ("heat", 0, 0), ("heat", 0, 1)],
+        [("heat", 1, 1)],
+    ]
     assert names == ["a0", "a1", "b0", "b1", "b2"]
+
+
+def test_each_unit_joins_the_lightest_share_ties_the_one_with_fewer_units(monkeypatch):
+    weighted = _check(*[(0.0, f"u{i}") for i in range(4)], seconds=(1.0, 3.0, 2.0, 2.0))(_sleepy)
+    equal = _check(*[(0.0, f"e{i}") for i in range(6)])(_sleepy)
+    monkeypatch.setitem(SUITES, "heat", [weighted, equal])
+    u = [("heat", 0, i) for i in range(4)]
+    # u1 (3 s) | u2 (2 s); u3 joins the 2 s share, then u0 the 3 s one: 4 s each,
+    # and equal loads keep their order
+    assert experiments._deal(u, 2) == [[u[1], u[0]], [u[2], u[3]]]
+    assert experiments._deal(u[1:], 2) == [[u[1]], [u[2], u[3]]]
+    e = [("heat", 1, i) for i in range(6)]
+    assert experiments._deal(e, 2) == [[e[0], e[2], e[4]], [e[1], e[3], e[5]]]
+    assert experiments._deal(e, 4) == [[e[0], e[4]], [e[1], e[5]], [e[2]], [e[3]]]
+
+
+def test_the_registry_pairs_chain_rule_units_and_splits_msd_evenly():
+    chain = [("chain-rule", 0, i) for i in range(3)]  # theta = 0, 0.5, 1
+    assert experiments._deal(chain, 2) == [[chain[1]], [chain[0], chain[2]]]
+    pv = [("pv", 0, i) for i in range(2)]  # theta = 0 (4.1 s) runs here, 0.5 (4.6 s) in a worker
+    assert experiments._deal(pv, 2) == [[pv[0]], [pv[1]]]
+    msd = [("msd", 0, i) for i in range(6)]
+    assert [len(share) for share in experiments._deal(msd, 2)] == [3, 3]
 
 
 def test_every_check_has_one_measured_time_per_unit():
@@ -179,6 +198,10 @@ class TestWorkerFailures:
         assert (tmp_path / "verify_heat.json").is_file()
 
     def test_dead_worker_gives_one_line_and_no_report(self, monkeypatch, tmp_path, capsys):
+        # Both units weigh 0 s, so the tie rule deals unit 0 to the first share,
+        # which this process runs (equal loads keep their order), and the dying
+        # unit 1 to the second, a forked worker: its os._exit ends that worker,
+        # never the test run.
         monkeypatch.setitem(SUITES, "heat", [_check((0,), (3,))(_dying)])
         assert main(["verify", "--suite", "heat", "--workers", "2", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err

@@ -1,6 +1,5 @@
-"""What a command loads: scipy only in the verify checks that call it, before their pool forks."""
+"""What a command loads: scipy only in the verify checks that call it, before their workers fork."""
 
-import contextlib
 import importlib
 import json
 import os
@@ -66,10 +65,11 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
 
 
 def test_forked_ensembles_load_no_executor(tmp_path):
-    """simulate and reverse fork their workers without concurrent.futures."""
+    """simulate, reverse and verify fork their workers without concurrent.futures."""
     commands = [
         ["simulate", "--family", "skew", "--paths", "2", "--steps", "20", "--workers", "2", "--out", "sim"],
         ["reverse", "--paths", "2", "--steps", "20", "--workers", "2", "--out", "rev"],
+        ["verify", "--suite", "heat", "--workers", "2", "--out", "ver"],
     ]
     code = (
         "import contextlib, io, json, sys\n"
@@ -81,26 +81,22 @@ def test_forked_ensembles_load_no_executor(tmp_path):
         "    loaded.append([code, sorted(m for m in sys.modules if m.startswith('concurrent'))])\n"
         "print(json.dumps(loaded))\n"
     )
-    assert json.loads(_python(code, tmp_path)) == [[0, []], [0, []]]
+    assert json.loads(_python(code, tmp_path)) == [[0, []], [0, []], [0, []]]
     assert sorted(p.name for p in (tmp_path / "rev").iterdir()) == ["manifest.json", "reversed_paths.csv"]
 
 
 def test_verify_parent_imports_declared_modules_before_the_pool_forks(tmp_path):
-    """The real scipy suites, with a stand-in pool that notes what is loaded when it would fork."""
+    """The real scipy suites, with a stand-in fork that notes what is loaded when it would fork."""
     code = (
-        "import contextlib, json, sys\n"
+        "import json, sys\n"
         "from hdp_lab import experiments\n"
         "from hdp_lab.stats import VerificationReport\n"
         "seen = {}\n"
-        "@contextlib.contextmanager\n"
-        "def stand_in_pool(workers, what):\n"
-        "    class Pool:\n"
-        "        def map(self, fn, units):\n"
-        "            return [[VerificationReport('unit', 0.0, 0.0, 0.0, True, {'elapsed_s': 0.0})]\n"
-        "                    for _ in units]\n"
+        "def stand_in_fork(work, shares):\n"
         "    seen[suite] = sorted(m for m in sys.modules if m in ('scipy.special', 'scipy.integrate'))\n"
-        "    yield Pool()\n"
-        "experiments._fork_pool = stand_in_pool\n"
+        "    return [[[VerificationReport('unit', 0.0, 0.0, 0.0, True, {'elapsed_s': 0.0})]\n"
+        "             for _ in share] for share in shares]\n"
+        "experiments._fork_map = stand_in_fork\n"
         "seen['before'] = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "for suite in ('reversal', 'densities', 'chain-rule'):\n"
         "    experiments.run_suite(suite, workers=2)\n"
@@ -136,18 +132,13 @@ def test_declared_imports_come_first_and_once(monkeypatch, workers):
     def spy_import(name):
         events.append(f"import {name}")
 
-    @contextlib.contextmanager
-    def stand_in_pool(size, what):
-        events.append(f"fork {size}")
-
-        class Pool:
-            def map(self, fn, units):
-                return [fn(unit) for unit in units]
-
-        yield Pool()
+    def stand_in_fork(work, shares):
+        if len(shares) > 1:  # one share runs here, with no fork
+            events.append(f"fork {len(shares)}")
+        return [work(share) for share in shares]
 
     monkeypatch.setattr(importlib, "import_module", spy_import)
-    monkeypatch.setattr(experiments, "_fork_pool", stand_in_pool)
+    monkeypatch.setattr(experiments, "_fork_map", stand_in_fork)
     first = _check((events, "a"), imports=("json", "csv"))(_unit)
     second = _check((events, "b"), imports=("json",))(_unit)
     monkeypatch.setitem(SUITES, "heat", [first, second])

@@ -1,7 +1,6 @@
 """Partition sums, brackets, mollifiers, truncated pv integrals, residuals."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +16,7 @@ from hdp_lab import (
     benchmark_solution,
     bracket_convergence,
     bracket_estimate,
-    chain_rule_residual,
     default_eps_sequence,
-    ito_form_residual,
     ito_sum,
     make_grid,
     mollify,
@@ -187,58 +184,3 @@ class TestResiduals:
         x = benchmark_solution(ModelParams(alpha=0.5, x0=1.0), b)
         res = sde_residual(ModelParams(alpha=-0.5, x0=1.0), x, b)
         assert np.max(np.abs(res.values)) > 0.05
-
-    def test_ito_form_needs_drift(self, brownian):
-        params = ModelParams(alpha=0.5, x0=1.0)
-        x = benchmark_solution(params, brownian)
-        with_drift = ito_form_residual(params, x, brownian)
-        integrand = Path(x.grid, abs_power_along_path(x.values, 0.5))
-        without = x.values - x.values[0] - ito_sum(integrand, brownian).curve.values
-        assert abs(with_drift.terminal) < 0.5 * abs(without[-1])
-
-    def test_ito_form_warns_for_negative_alpha_without_pv(self, brownian):
-        params = ModelParams(alpha=-0.5, x0=1.0)
-        x = benchmark_solution(params, brownian)
-        with pytest.warns(UserWarning, match="non-integrable"):
-            ito_form_residual(params, x, brownian)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ito_form_residual(params, x, brownian, use_pv=True)
-
-    def test_chain_rule_requires_vanishing_window(self, brownian):
-        with pytest.raises(ValueError, match="vanish"):
-            chain_rule_residual(
-                lambda x: x,
-                lambda x: np.ones_like(x),
-                lambda x: np.zeros_like(x),
-                lambda x: np.ones_like(x),
-                lambda x: np.zeros_like(x),
-                brownian,
-                brownian,
-                0.1,
-            )
-
-    def test_chain_rule_residual_small_for_smooth_case(self, brownian):
-        # g(x) = ((|x| - delta)_+)^3 * sign(x) vanishes near 0 and is C^2
-        delta = 0.25
-
-        def g(x):
-            return np.sign(x) * np.maximum(np.abs(x) - delta, 0.0) ** 3
-
-        def dg(x):
-            return 3.0 * np.maximum(np.abs(x) - delta, 0.0) ** 2
-
-        def d2g(x):
-            return 6.0 * np.sign(x) * np.maximum(np.abs(x) - delta, 0.0)
-
-        res = chain_rule_residual(
-            g,
-            dg,
-            d2g,
-            lambda x: np.ones_like(x),
-            lambda x: np.zeros_like(x),
-            brownian,
-            brownian,
-            delta,
-        )
-        assert abs(res.terminal) < 0.02

@@ -16,7 +16,6 @@ from hdp_lab import (
     local_time_occupation,
     make_grid,
     msd,
-    oscillating_from_skew,
     sample_skew_with_local_time,
     simulate_skew_pair,
     skew_cdf,
@@ -444,12 +443,3 @@ class TestSkewWalkKernel:
         assert coupled.x0 == x0_used
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
-
-
-class TestOscillatingTransform:
-    def test_round_trip_recovers_walk(self):
-        grid = make_grid(1.0, 800)
-        coupled = simulate_skew_pair(0.4, 0.0, grid, SeedSpec(34))
-        y = oscillating_from_skew(coupled)
-        co = SkewCoefficients(0.4)
-        np.testing.assert_allclose(co.r(y.values), coupled.skew_B.values, atol=1e-12)
