@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import Path, SeedSpec, TimeGrid, _require_positive, _skip_doubles
 from .skew import SkewCoefficients, _require_theta
+from .solutions import _require_alpha
 
 __all__ = [
     "joint_density_BL",
@@ -31,6 +32,21 @@ __all__ = [
 ]
 
 
+def _joint_normaliser(t) -> float:
+    """sqrt(2 pi t^3), which both joint densities divide by; ValueError where it is no positive float.
+
+    That is above t ~ 3.06e102, where t**3 overflows, and below t ~ 1.35e-108, where it rounds to 0.
+    """
+    _require_positive("t", t)
+    try:
+        norm = math.sqrt(2.0 * math.pi * t**3)
+    except OverflowError:
+        norm = math.inf
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"t = {t} takes the joint density's normaliser sqrt(2 pi t^3) out of the float range")
+    return norm
+
+
 def joint_density_BL(theta, t, w0, b, l):
     """Joint density of (B^theta_t, L_t) started at w0, at (b, l) with l > 0.
 
@@ -40,14 +56,14 @@ def joint_density_BL(theta, t, w0, b, l):
     this function evaluates only the absolutely continuous l > 0 part.
     """
     coeffs = SkewCoefficients(theta)
-    _require_positive("t", t)
+    norm = _joint_normaliser(t)
     if not math.isfinite(w0):
         raise ValueError(f"w0 must be finite, got {w0}")
     l_arr = np.asarray(l, dtype=float)
     if np.any(l_arr <= 0.0):
         raise ValueError("l must be positive (the density's continuous part lives on l > 0)")
     m = l_arr + abs(w0) + np.abs(b)
-    out = 2.0 * coeffs.beta(b) * m / math.sqrt(2.0 * math.pi * t**3) * np.exp(
+    out = 2.0 * coeffs.beta(b) * m / norm * np.exp(
         -np.square(m) / (2.0 * t)
     )
     return float(out) if out.ndim == 0 else out
@@ -66,7 +82,7 @@ def joint_density_YB(theta, t, y, z):
     coeffs = SkewCoefficients(theta)
     if theta == 0.0:
         raise ValueError("theta = 0 degenerates the joint law to the line y = 2z")
-    _require_positive("t", t)
+    norm = _joint_normaliser(t)
     y_arr = np.asarray(y, dtype=float)
     z_arr = np.asarray(z, dtype=float)
     beta = coeffs.beta(y_arr)
@@ -75,7 +91,7 @@ def joint_density_YB(theta, t, y, z):
     dens = (
         2.0
         * np.square(beta)
-        / (theta**2 * math.sqrt(2.0 * math.pi * t**3))
+        / (theta**2 * norm)
         * np.abs(m)
         * np.exp(-np.square(m) / (2.0 * theta**2 * t))
     )
@@ -94,8 +110,7 @@ def msd(alpha: float, theta: float, t: float) -> float:
     (0, 1), where the true answer is Var|B_1| = 1 - 2/pi.  Even in theta;
     scales exactly like t^(1/(1-alpha)).
     """
-    if not (-1.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie strictly inside (-1, 1), got {alpha}")
+    _require_alpha(alpha)
     _require_theta(theta)
     _require_positive("t", t)
     q = 1.0 / (1.0 - alpha)

@@ -20,12 +20,13 @@ units into shares up front, heaviest first; ``simulate`` and
 straight into the CSV and have the workers write the others to hidden part
 files beside it, appended in path order.  Each path draws from its own
 stream, so the bytes do not depend on the worker count.
-Options resolve as flags first, then an optional ``KEY=VALUE`` config file
-(``--config``), then the ``HDP_LAB_SEED`` environment variable for the
-master seed, then built-in defaults.  CSV numbers carry 17 significant
-digits so round-trips are bit-stable; JSON manifests carry a schema-version
-field and every input needed to regenerate the run.  Partial output files
-are removed when a command fails.
+Each subcommand takes only the options its command reads (``_OPTIONS``).
+They resolve as flags first, then an optional ``KEY=VALUE`` config file
+(``--config``, which may hold any option's key), then the ``HDP_LAB_SEED``
+environment variable for the master seed, then defaults.  CSV numbers carry
+17 significant digits so round-trips are bit-stable; JSON manifests carry a
+schema-version field and every input needed to regenerate the run.  Partial
+output files are removed when a command fails.
 """
 
 from __future__ import annotations
@@ -69,39 +70,53 @@ FAMILIES = ("benchmark", "stopped", "nonmarkov", "skew", "reflected")
 DENSITIES = ("skew", "joint-bl", "joint-yb")
 SUITE_NAMES = (*SUITES, "all")
 
-#: keys recognized in a ``--config`` file (dashes normalize to underscores);
-#: each subcommand reads the subset it understands, flags always win
-_FLOAT_KEYS = {
-    "alpha", "theta", "x0", "t_end", "horizon", "eps", "step_h", "window_a", "window_b",
-}
-_INT_KEYS = {"steps", "paths", "seed", "workers"}
-_STR_KEYS = {"out", "format", "family", "suite", "which", "points", "terminal_from"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
-
-_DEFAULTS = {
-    "alpha": 0.5,
-    "theta": 0.0,
-    "x0": 0.0,
-    "t_end": 1.0,
-    "steps": 1000,
-    "paths": 10,
-    "out": ".",
-    "format": "csv",
-    "window_a": 0.5,
-    "window_b": 0.5,
-    "horizon": 1.0,
-    "eps": 0.1,
-    "step_h": 1e-5,
-    "terminal_from": "explicit",
-}
-_SUBCOMMAND_DEFAULTS = {
-    "exit-prob": {"paths": 20_000},
-    "msd": {"paths": 0},
-}
-
-
 #: most ``--workers`` per available CPU; more only crowd the host with processes
 WORKERS_PER_CPU = 4
+
+#: path-steps (paths x steps) a forked ensemble worker must get by default.
+#: Measured on 2 CPUs at 20 and 100 paths: two processes took as long as one
+#: at 20 000 path-steps in all, and about 0.8 of its time at 40 000.
+_FORK_PATH_STEPS = 20_000
+
+#: fewest paths a forked reverse worker gets by default.  A lockstep bridge
+#: step costs about as much for one path as for eight, so a narrower split
+#: only runs the same steps twice: at 80 000 path-steps on 2 CPUs, two
+#: processes were slower than one up to 8 paths and faster from 16.
+_BRIDGE_WORKER_PATHS = 8
+
+#: every option a subcommand can take, by config key (the flag with dashes
+#: made underscores): (type, default, choices, help).  A subcommand takes the
+#: ones its command reads (``_add_options``), with its own default where it
+#: names one; None marks a required option or one its command works out.
+#: A ``--config`` file may hold any of these keys.
+_OPTIONS = {
+    "family": (str, None, FAMILIES, "solution family (required)"),
+    "suite": (str, None, None, f"one of: {', '.join(SUITE_NAMES)}"),
+    "which": (str, None, None, f"one of: {', '.join(DENSITIES)}"),
+    "points": (str, None, None, "CSV file of evaluation points (optional header)"),
+    "alpha": (float, 0.5, None, "model exponent in (-1, 1)"),
+    "theta": (float, 0.0, None, "skewness in [-1, 1]"),
+    "x0": (float, 0.0, None, "starting point"),
+    "t_end": (float, 1.0, None, "horizon"),
+    "horizon": (float, 1.0, None, "forward horizon to reverse from"),
+    "terminal_from": (str, "explicit", ("explicit", "forward-sim"), "terminal source"),
+    "eps": (float, 0.1, None, "band half-width"),
+    "step_h": (float, 1e-5, None, "walk step size"),
+    "steps": (int, 1000, None, "grid steps"),
+    "paths": (int, 10, None, "paths to draw"),
+    "seed": (int, 0, None, "master seed (env HDP_LAB_SEED when not given)"),
+    "window_a": (float, 0.5, None, "nonmarkov window below 0"),
+    "window_b": (float, 0.5, None, "nonmarkov window above 0"),
+    "out": (str, ".", None, "output directory"),
+    "format": (str, "csv", ("csv", "json"), "result format"),
+    "workers": (
+        int, None, None,
+        f"processes to run on, 1 to {WORKERS_PER_CPU} per available CPU: verify splits its "
+        "units over them, simulate and reverse their paths [one per CPU, at most one per unit or "
+        f"path; for simulate and reverse only as many as get {_FORK_PATH_STEPS} path-steps each, "
+        f"for reverse also {_BRIDGE_WORKER_PATHS} paths each]; CSV bytes do not depend on it",
+    ),
+}
 
 
 class CliError(Exception):
@@ -125,43 +140,35 @@ def _parse_config_file(path: str) -> dict:
                 raise CliError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _ALL_KEYS:
+            if key not in _OPTIONS:
                 raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = value.strip()
     return values
 
 
 def _coerce(key: str, raw: str):
+    kind = _OPTIONS[key][0]
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        return raw
+        return kind(raw)
     except ValueError as exc:
-        raise CliError(f"config value {key}={raw!r} is not a {'float' if key in _FLOAT_KEYS else 'int'}") from exc
+        raise CliError(f"config value {key}={raw!r} is not a {kind.__name__}") from exc
 
 
 def _resolve(args: argparse.Namespace, key: str):
-    """Flag > config file > HDP_LAB_SEED (for the seed) > built-in default."""
-    flag = getattr(args, key, None)
+    """Flag > config file > HDP_LAB_SEED (for the seed) > the subcommand's default, for one of its options."""
+    flag = getattr(args, key)
     if flag is not None:
         return flag
     config = getattr(args, "_config_values", {})
     if key in config:
         return _coerce(key, config[key])
-    if key == "seed":
-        env = os.environ.get("HDP_LAB_SEED")
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError as exc:
-                raise CliError(f"HDP_LAB_SEED={env!r} is not an integer") from exc
-        return 0
-    defaults = _SUBCOMMAND_DEFAULTS.get(args.subcommand, {})
-    if key in defaults:
-        return defaults[key]
-    return _DEFAULTS.get(key)  # None marks a required flag the caller must check
+    env = os.environ.get("HDP_LAB_SEED") if key == "seed" else None
+    if env is not None:
+        try:
+            return int(env)
+        except ValueError as exc:
+            raise CliError(f"HDP_LAB_SEED={env!r} is not an integer") from exc
+    return args._defaults[key]
 
 
 def _outdir(args) -> str:
@@ -238,17 +245,6 @@ def _write_json(path: str, payload, written: list) -> None:
 
 # ---------------------------------------------------------------------------
 # ensembles: simulate and reverse
-
-#: path-steps (paths x steps) a forked ensemble worker must get by default.
-#: Measured on 2 CPUs at 20 and 100 paths: two processes took as long as one
-#: at 20 000 path-steps in all, and about 0.8 of its time at 40 000.
-_FORK_PATH_STEPS = 20_000
-
-#: fewest paths a forked reverse worker gets by default.  A lockstep bridge
-#: step costs about as much for one path as for eight, so a narrower split
-#: only runs the same steps twice: at 80 000 path-steps on 2 CPUs, two
-#: processes were slower than one up to 8 paths and faster from 16.
-_BRIDGE_WORKER_PATHS = 8
 
 #: most paths per reversed_bridge_ensemble call in reverse, so that its two
 #: (steps + 1) x paths node arrays do not grow with the ensemble
@@ -662,25 +658,21 @@ def cmd_reverse(args, written: list) -> int:
 # parser / entry point
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, help="model exponent in (-1, 1) [0.5]")
-    parser.add_argument("--theta", type=float, help="skewness in [-1, 1] [0]")
-    parser.add_argument("--x0", type=float, help="starting point [0]")
-    parser.add_argument("--t-end", type=float, dest="t_end", help="horizon [1.0]")
-    parser.add_argument("--steps", type=int, help="grid steps [1000]")
-    parser.add_argument("--paths", type=int, help="ensemble size")
-    parser.add_argument("--seed", type=int, help="master seed [env HDP_LAB_SEED, else 0]")
-    parser.add_argument("--out", help="output directory [.]")
-    parser.add_argument("--format", choices=("csv", "json"), help="result format where not pinned [csv]")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        help=f"processes to run on, 1 to {WORKERS_PER_CPU} per available CPU: verify splits its "
-        "units over them, simulate and reverse their paths [one per CPU, at most one per unit or "
-        f"path; for simulate and reverse only as many as get {_FORK_PATH_STEPS} path-steps each, "
-        f"for reverse also {_BRIDGE_WORKER_PATHS} paths each]; CSV bytes do not depend on it",
-    )
+def _add_options(parser: argparse.ArgumentParser, func, names: str, **defaults) -> None:
+    """Give the subcommand ``parser`` its command ``func``, the ``_OPTIONS`` in ``names`` and ``--config``.
+
+    ``defaults`` override the table's for this subcommand, in its help and in
+    ``_resolve``.  A flag not given parses to None, so a config value can fill it.
+    """
+    own = {}
+    for name in names.split():
+        key = name.replace("-", "_")
+        kind, default, choices, text = _OPTIONS[key]
+        own[key] = default = defaults.get(key, default)
+        shown = "" if default is None else f" [{default}]"
+        parser.add_argument(f"--{name}", dest=key, type=kind, choices=choices, help=text + shown)
     parser.add_argument("--config", help="KEY=VALUE config file; flags win over the file")
+    parser.set_defaults(func=func, _defaults=own)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -706,11 +698,10 @@ def build_parser() -> argparse.ArgumentParser:
             "the manifest's non_solution_flag marks skew runs outside the solving regime."
         ),
     )
-    p.add_argument("--family", choices=FAMILIES, help="solution family (required)")
-    p.add_argument("--window-a", type=float, dest="window_a", help="nonmarkov window below 0 [0.5]")
-    p.add_argument("--window-b", type=float, dest="window_b", help="nonmarkov window above 0 [0.5]")
-    _add_shared(p)
-    p.set_defaults(func=cmd_simulate)
+    _add_options(
+        p, cmd_simulate,
+        "family alpha theta x0 t-end steps paths seed window-a window-b out workers",
+    )
 
     p = sub.add_parser(
         "verify",
@@ -718,12 +709,10 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Run one of the named verification suites (or 'all').  Suites are "
             "protocol-pinned: seeds, meshes, and tolerances are frozen in the "
-            "experiments module, so model flags do not alter them."
+            "experiments module."
         ),
     )
-    p.add_argument("--suite", help=f"one of: {', '.join(SUITE_NAMES)}")
-    _add_shared(p)
-    p.set_defaults(func=cmd_verify)
+    _add_options(p, cmd_verify, "suite out workers")
 
     p = sub.add_parser(
         "density",
@@ -736,26 +725,19 @@ def build_parser() -> argparse.ArgumentParser:
             "exit code to 1."
         ),
     )
-    p.add_argument("--which", help=f"one of: {', '.join(DENSITIES)}")
-    p.add_argument("--points", help="CSV file of evaluation points (optional header)")
-    _add_shared(p)
-    p.set_defaults(func=cmd_density)
+    _add_options(p, cmd_density, "which points theta t-end x0 out")
 
     p = sub.add_parser(
         "msd",
         help="closed-form mean-square displacement (MC cross-check with --paths > 0)",
     )
-    _add_shared(p)
-    p.set_defaults(func=cmd_msd)
+    _add_options(p, cmd_msd, "alpha theta t-end paths seed out format", paths=0)
 
     p = sub.add_parser(
         "exit-prob",
         help="Monte Carlo exit probability through +eps vs the (1+theta)/2 target",
     )
-    p.add_argument("--eps", type=float, help="band half-width [0.1]")
-    p.add_argument("--step-h", type=float, dest="step_h", help="walk step size [1e-5]")
-    _add_shared(p)
-    p.set_defaults(func=cmd_exit_prob)
+    _add_options(p, cmd_exit_prob, "theta eps step-h paths seed out format", paths=20_000)
 
     p = sub.add_parser(
         "reverse",
@@ -768,15 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
             "conditioned bridge.  Defined for the x0 = 0 start."
         ),
     )
-    p.add_argument("--horizon", type=float, help="forward horizon to reverse from [1.0]")
-    p.add_argument(
-        "--terminal-from",
-        dest="terminal_from",
-        choices=("explicit", "forward-sim"),
-        help="terminal source [explicit]",
-    )
-    _add_shared(p)
-    p.set_defaults(func=cmd_reverse)
+    _add_options(p, cmd_reverse, "theta horizon terminal-from x0 steps paths seed out workers")
     return parser
 
 
@@ -786,7 +760,7 @@ def main(argv=None) -> int:
     written: list = []
     try:
         args._config_values = _parse_config_file(args.config) if args.config else {}
-        workers = _resolve(args, "workers")
+        workers = _resolve(args, "workers") if "workers" in args._defaults else None
         limit = WORKERS_PER_CPU * len(os.sched_getaffinity(0))
         if workers is not None and not 1 <= workers <= limit:
             raise CliError(

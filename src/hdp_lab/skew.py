@@ -139,6 +139,7 @@ def simulate_skew_pair(theta: float, x0: float, grid: TimeGrid, seed: SeedSpec) 
     s_lattice = np.empty(n + 1, dtype=np.int64)
     s_lattice[0] = m0
     np.cumsum(steps, out=s_lattice[1:])
+    del steps  # each of these int64 arrays is 8 MB at 10**6 steps: drop it once used
     s_lattice[1:] += m0
 
     # excursion index at node k = number of zeros at nodes <= k;
@@ -154,9 +155,11 @@ def simulate_skew_pair(theta: float, x0: float, grid: TimeGrid, seed: SeedSpec) 
         signs[1:] = np.where(rng.random(n_zeros) < coeffs.beta_plus, 1.0, -1.0)
         skew_values = signs[exc]
         skew_values *= np.abs(s_lattice, out=s_lattice)
+    del s_lattice
     skew_values *= root_h
     exc -= exc[0]  # arrivals: zeros at nodes 1..k; a zero start is no arrival
     local_time = exc * root_h
+    del exc
     driver_values = skew_values - x0_used
     driver_values -= theta * local_time
 

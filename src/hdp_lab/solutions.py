@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Path, _require_positive
-from .skew import CoupledSkewPath
+from .skew import CoupledSkewPath, _require_theta
 
 __all__ = [
     "ModelParams",
@@ -44,6 +44,13 @@ __all__ = [
 TINY_BASE = 1e-300
 
 
+def _require_alpha(alpha) -> float:
+    """Reject a model exponent outside (-1, 1); nan fails too.  Returns it as a float."""
+    if not (-1.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie strictly inside (-1, 1), got {alpha}")
+    return float(alpha)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model exponent alpha in (-1, 1), skewness theta in [-1, 1], start X0."""
@@ -53,14 +60,10 @@ class ModelParams:
     x0: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (-1.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie strictly inside (-1, 1), got {self.alpha}")
-        if not (-1.0 <= self.theta <= 1.0):
-            raise ValueError(f"theta must lie in [-1, 1], got {self.theta}")
+        object.__setattr__(self, "alpha", _require_alpha(self.alpha))
+        object.__setattr__(self, "theta", _require_theta(self.theta))
         if not math.isfinite(self.x0):
             raise ValueError(f"x0 must be finite, got {self.x0}")
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "x0", float(self.x0))
 
     @property
@@ -184,8 +187,7 @@ def reflected_solution_explicit(alpha: float, x0: float, B: Path) -> Path:
     where (x)_- = max(-x, 0).  Requires X0 >= 0; the inner argument is
     nonnegative by construction, so the outer signed power is a plain power.
     """
-    if not (-1.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie strictly inside (-1, 1), got {alpha}")
+    _require_alpha(alpha)
     if x0 < 0.0:
         raise ValueError(f"x0 must be >= 0 for the reflected solution, got {x0}")
     shift = signed_power(x0, 1.0 - alpha)

@@ -85,6 +85,14 @@ class TestJointDensities:
         with pytest.raises(ValueError, match="theta = 0"):
             joint_density_YB(0.0, 1.0, 0.5, 0.1)
 
+    @pytest.mark.parametrize("t", [1e103, 1e-120])  # t**3 overflows; 2 pi t**3 rounds to 0
+    @pytest.mark.parametrize(
+        "density, point", [(joint_density_BL, (0.0, 0.3, 0.2)), (joint_density_YB, (0.5, 0.1))]
+    )
+    def test_normaliser_out_of_float_range_rejected(self, density, point, t):
+        with pytest.raises(ValueError, match=r"normaliser sqrt\(2 pi t\^3\) out of the float range"):
+            density(0.5, t, *point)
+
 
 class TestBridgeReversal:
     def test_endpoints_are_exact(self):

@@ -1,7 +1,10 @@
 """Command-line contract: files, manifests, exit codes, config precedence."""
 
+import argparse
+import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -209,6 +212,19 @@ class TestDensity:
         assert capsys.readouterr().err == f"error: t must be positive and finite, got {float(t_end)}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_end", ["1e103", "1e-120"])
+    @pytest.mark.parametrize("which, row", [("joint-bl", "0.3,0.2"), ("joint-yb", "0.5,0.1")])
+    def test_joint_normaliser_out_of_range_exits_2(self, tmp_path, capsys, t_end, which, row):
+        points = tmp_path / "pts.csv"
+        points.write_text(f"{row}\n")
+        out = tmp_path / "out"
+        argv = ["density", "--which", which, "--theta", "0.5", "--t-end", t_end,
+                "--points", str(points), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: t = ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_wrong_column_count_exits_2(self, tmp_path):
         points = tmp_path / "pts.csv"
         points.write_text("y,z\n0.1\n")
@@ -403,6 +419,85 @@ class TestConfiguration:
              "--out", str(tmp_path)]
         )
         assert rc == 2
+
+    def test_other_subcommands_keys_are_accepted_and_left_unread(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("family=bogus\nsuite=bogus\nsteps=x\nworkers=100000\npaths=5\nseed=4\n")
+        argv = ["msd", "--theta", "0.5", "--format", "json", "--config", str(config)]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / "msd.json").read_text())
+        assert (record["paths"], record["seed"]) == (5, 4)
+
+
+#: the options each subcommand takes, in --help order
+SUBCOMMAND_OPTIONS = {
+    "simulate": "family alpha theta x0 t-end steps paths seed window-a window-b out workers config",
+    "verify": "suite out workers config",
+    "density": "which points theta t-end x0 out config",
+    "msd": "alpha theta t-end paths seed out format config",
+    "exit-prob": "theta eps step-h paths seed out format config",
+    "reverse": "theta horizon terminal-from x0 steps paths seed out workers config",
+}
+
+
+def _keys_resolved_from(function_name: str) -> set:
+    """The keys ``cli._resolve`` is asked for in a cli function or in any cli function it names, read from the source."""
+    tree = ast.parse(inspect.getsource(cli))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    keys, seen, todo = set(), set(), [function_name]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_resolve":
+                keys.add(node.args[1].value)  # a key that is not a literal fails here
+            elif isinstance(node, ast.Name) and node.id in functions:
+                todo.append(node.id)
+    return keys
+
+
+class TestParserSurface:
+    @pytest.mark.parametrize("subcommand, options", SUBCOMMAND_OPTIONS.items())
+    def test_each_subcommand_takes_only_the_options_its_command_reads(self, subcommand, options):
+        (subparsers,) = [
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        parser = subparsers.choices[subcommand]
+        actions = [action for action in parser._actions if action.dest != "help"]
+        assert [action.option_strings[0] for action in actions] == [f"--{n}" for n in options.split()]
+        # main reads --config for every subcommand; the command reads the rest through _resolve
+        reads = _keys_resolved_from(parser.get_default("func").__name__) | {"config"}
+        assert {action.dest for action in actions} == reads
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reverse", "--t-end", "2", "--paths", "1", "--steps", "5"],
+            ["verify", "--suite", "msd", "--seed", "3"],
+            ["exit-prob", "--steps", "5", "--paths", "10", "--step-h", "1e-3"],
+            ["simulate", "--family", "benchmark", "--paths", "1", "--steps", "5", "--format", "json"],
+            ["density", "--which", "skew", "--points", "pts.csv", "--workers", "2"],
+        ],
+    )
+    def test_an_option_the_command_does_not_read_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("pts.csv").write_text("b\n0\n")
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--out", "out"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("command, paths", [("msd", 0), ("exit-prob", 20_000), ("simulate", 10)])
+    def test_paths_default_per_subcommand_and_in_help(self, capsys, command, paths):
+        args = cli.build_parser().parse_args([command])
+        assert cli._resolve(args, "paths") == paths
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"[{paths}]" in capsys.readouterr().out
 
 
 #: sha256 of the ensemble CSVs of small runs, recorded with the per-float

@@ -31,17 +31,18 @@ def test_import_loads_no_scipy(tmp_path, module):
     assert _python(code, tmp_path).strip() == "[]"
 
 
-#: commands that must run without scipy, each with the exit code it gives
+#: commands that must run without scipy, each with the exit code it gives; the
+#: ones that take --workers run on one process
 SCIPY_FREE_COMMANDS = [
-    (["simulate", "--family", "skew", "--paths", "2", "--steps", "20"], 0),
-    (["reverse", "--paths", "2", "--steps", "20"], 0),
+    (["simulate", "--family", "skew", "--paths", "2", "--steps", "20", "--workers", "1"], 0),
+    (["reverse", "--paths", "2", "--steps", "20", "--workers", "1"], 0),
     (["msd", "--theta", "0.5", "--paths", "100"], 0),
     (["exit-prob", "--theta", "0.5", "--paths", "50", "--step-h", "1e-3"], 0),
     (["density", "--which", "skew", "--theta", "0.5", "--points", "b.csv"], 0),
     (["density", "--which", "joint-bl", "--theta", "0.5", "--points", "bl.csv"], 0),
     (["density", "--which", "joint-yb", "--theta", "0.5", "--points", "yb.csv"], 0),
-    (["verify", "--suite", "msd"], 0),
-    (["verify", "--suite", "heat"], 0),
+    (["verify", "--suite", "msd", "--workers", "1"], 0),
+    (["verify", "--suite", "heat", "--workers", "1"], 0),
 ]
 
 
@@ -49,7 +50,7 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
     (tmp_path / "b.csv").write_text("b\n-0.5\n0.3\n")
     (tmp_path / "bl.csv").write_text("b,l\n0.2,0.4\n")
     (tmp_path / "yb.csv").write_text("y,z\n0.5,0.1\n")
-    commands = [[*argv, "--workers", "1", "--out", "out"] for argv, _ in SCIPY_FREE_COMMANDS]
+    commands = [[*argv, "--out", "out"] for argv, _ in SCIPY_FREE_COMMANDS]
     code = (
         "import contextlib, io, json, sys\n"
         "from hdp_lab.cli import main\n"

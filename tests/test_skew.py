@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,20 @@ class TestSimulateSkewPair:
         np.testing.assert_array_equal(
             plus.local_time_L.values, minus.local_time_L.values
         )
+
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_peak_memory_is_four_node_arrays(self, theta):
+        # the three returned (n + 1)-node arrays and one temporary: the walk's
+        # steps, lattice and excursion index are dropped once used
+        grid = make_grid(1.0, 10**6)
+        tracemalloc.start()
+        try:
+            simulate_skew_pair(theta, 0.0, grid, SeedSpec(3402))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 8 * (grid.n_steps + 1)
 
 
 class TestLocalTimeOccupation:
