@@ -33,7 +33,6 @@ from .solutions import (
 )
 from .integrals import (
     MollifierBracketReport,
-    PartitionSumResult,
     PvReport,
     abs_power_along_path,
     backward_sum,

@@ -15,6 +15,7 @@ absolute value on the Gaussian-argument factor carrying the mirror.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -47,13 +48,25 @@ def _joint_normaliser(t) -> float:
     return norm
 
 
+def _zero_where_underflowed(out, gauss):
+    """``out`` as a float, or an array, with 0 where the Gaussian factor ``gauss`` underflowed to 0.
+
+    The factor before it may overflow there, and inf * 0 is nan; the density is 0.
+    """
+    if out.ndim:
+        return np.where(gauss > 0.0, out, 0.0)
+    return float(out) if gauss > 0.0 else 0.0
+
+
 def joint_density_BL(theta, t, w0, b, l):
     """Joint density of (B^theta_t, L_t) started at w0, at (b, l) with l > 0.
 
     2*beta(b) * (l + |w0| + |b|) / sqrt(2 pi t^3) * exp(-(l + |w0| + |b|)^2 / (2t)).
 
     For w0 != 0 the law also has an atom at l = 0 (paths that never reach 0);
-    this function evaluates only the absolutely continuous l > 0 part.
+    this function evaluates only the absolutely continuous l > 0 part.  Where
+    the Gaussian factor underflows to 0 the density is 0, also where the
+    factor before it overflows (m near the float range, or t small).
     """
     coeffs = SkewCoefficients(theta)
     norm = _joint_normaliser(t)
@@ -63,10 +76,8 @@ def joint_density_BL(theta, t, w0, b, l):
     if np.any(l_arr <= 0.0):
         raise ValueError("l must be positive (the density's continuous part lives on l > 0)")
     m = l_arr + abs(w0) + np.abs(b)
-    out = 2.0 * coeffs.beta(b) * m / norm * np.exp(
-        -np.square(m) / (2.0 * t)
-    )
-    return float(out) if out.ndim == 0 else out
+    gauss = np.exp(-np.square(m) / (2.0 * t))
+    return _zero_where_underflowed(2.0 * coeffs.beta(b) * m / norm * gauss, gauss)
 
 
 def joint_density_YB(theta, t, y, z):
@@ -77,26 +88,33 @@ def joint_density_YB(theta, t, y, z):
 
     on the support wedge (r(y) - z)/theta > 0, zero outside.  The absolute
     value makes the theta < 0 mirror exact; for theta > 0 the factor is
-    positive on the wedge anyway.
+    positive on the wedge anyway.  A theta so small that 2 / (theta^2 sqrt(2
+    pi t^3)) overflows raises ValueError.  Where the Gaussian factor
+    underflows to 0 the density is 0, also where |m| overflows.
     """
     coeffs = SkewCoefficients(theta)
     if theta == 0.0:
         raise ValueError("theta = 0 degenerates the joint law to the line y = 2z")
     norm = _joint_normaliser(t)
+    if not theta**2 * norm > 2.0 / sys.float_info.max:
+        raise ValueError(
+            f"theta = {theta} takes the joint density's factor 2 / (theta^2 sqrt(2 pi t^3)) "
+            "out of the float range"
+        )
     y_arr = np.asarray(y, dtype=float)
     z_arr = np.asarray(z, dtype=float)
     beta = coeffs.beta(y_arr)
     m = 2.0 * y_arr * np.square(beta) - z_arr
     support = (coeffs.r(y_arr) - z_arr) / theta > 0.0
+    gauss = np.exp(-np.square(m) / (2.0 * theta**2 * t))
     dens = (
         2.0
         * np.square(beta)
         / (theta**2 * norm)
         * np.abs(m)
-        * np.exp(-np.square(m) / (2.0 * theta**2 * t))
+        * gauss
     )
-    out = np.where(support, dens, 0.0)
-    return float(out) if out.ndim == 0 else out
+    return _zero_where_underflowed(np.where(support, dens, 0.0), gauss)
 
 
 def msd(alpha: float, theta: float, t: float) -> float:
@@ -157,6 +175,7 @@ def _bridge_draws(rng, m: int):
 _CHARGE_BOUND = 32.0
 
 
+@np.errstate(over="ignore")  # a local time that overflows is reported below, not warned of
 def _reversed_bridge_core(theta, b0, grid, rng, capture_step):
     """Bridge-to-zero reversal for theta >= 0, vectorized over paths.
 
@@ -166,6 +185,7 @@ def _reversed_bridge_core(theta, b0, grid, rng, capture_step):
     step that charges local time re-draws the excursion sign with the skew
     split.  With ``capture_step`` None returns the recorded (skew,
     local-time) node arrays, else the captured slice plus total local time.
+    A horizon so long that the local time overflows raises ValueError.
 
     Every step draws a normal, a tail uniform and a sign uniform per path.
     The tail, the sign refresh and the local-time update are evaluated only
@@ -221,6 +241,8 @@ def _reversed_bridge_core(theta, b0, grid, rng, capture_step):
         if capture_step == k + 1:
             cap_skew = sign * np.abs(g)
             cap_ell = ell.copy()
+    if not np.all(np.isfinite(ell)):  # 2h*log(1 - u) or a squared step past the float range
+        raise ValueError(f"horizon {horizon} is too long for the bridge: its local time overflows")
     if record:
         return skew_nodes, ell_nodes
     return cap_skew, cap_ell, ell

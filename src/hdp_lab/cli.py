@@ -21,9 +21,12 @@ straight into the CSV and have the workers write the others to hidden part
 files beside it, appended in path order.  Each path draws from its own
 stream, so the bytes do not depend on the worker count.
 Each subcommand takes only the options its command reads (``_OPTIONS``).
-They resolve as flags first, then an optional ``KEY=VALUE`` config file
-(``--config``, which may hold any option's key), then the ``HDP_LAB_SEED``
-environment variable for the master seed, then defaults.  CSV numbers carry
+``main`` resolves each of them once, before the command runs, as flags
+first, then an optional ``KEY=VALUE`` config file (``--config``, which may
+hold any option's key), then the ``HDP_LAB_SEED`` environment variable for
+the master seed, then defaults, and checks an option with choices against
+them wherever its value came from; a parse error, a bad value and a missing
+required option all exit 2 with one ``error:`` line.  CSV numbers carry
 17 significant digits so round-trips are bit-stable; JSON manifests carry a
 schema-version field and every input needed to regenerate the run.  Partial
 output files are removed when a command fails.
@@ -88,11 +91,12 @@ _BRIDGE_WORKER_PATHS = 8
 #: made underscores): (type, default, choices, help).  A subcommand takes the
 #: ones its command reads (``_add_options``), with its own default where it
 #: names one; None marks a required option or one its command works out.
-#: A ``--config`` file may hold any of these keys.
+#: An option with choices must resolve to one of them, so one whose default
+#: is None is required.  A ``--config`` file may hold any of these keys.
 _OPTIONS = {
     "family": (str, None, FAMILIES, "solution family (required)"),
-    "suite": (str, None, None, f"one of: {', '.join(SUITE_NAMES)}"),
-    "which": (str, None, None, f"one of: {', '.join(DENSITIES)}"),
+    "suite": (str, None, SUITE_NAMES, "verification suite (required)"),
+    "which": (str, None, DENSITIES, "density to evaluate (required)"),
     "points": (str, None, None, "CSV file of evaluation points (optional header)"),
     "alpha": (float, 0.5, None, "model exponent in (-1, 1)"),
     "theta": (float, 0.0, None, "skewness in [-1, 1]"),
@@ -121,6 +125,13 @@ _OPTIONS = {
 
 class CliError(Exception):
     """Usage or configuration problem; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise :class:`CliError`, so ``main`` reports them."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _fmt(value: float) -> str:
@@ -154,12 +165,11 @@ def _coerce(key: str, raw: str):
         raise CliError(f"config value {key}={raw!r} is not a {kind.__name__}") from exc
 
 
-def _resolve(args: argparse.Namespace, key: str):
-    """Flag > config file > HDP_LAB_SEED (for the seed) > the subcommand's default, for one of its options."""
+def _resolve(args: argparse.Namespace, key: str, config: dict):
+    """Flag > ``config`` file values > HDP_LAB_SEED (for the seed) > the subcommand's default, for one of its options."""
     flag = getattr(args, key)
     if flag is not None:
         return flag
-    config = getattr(args, "_config_values", {})
     if key in config:
         return _coerce(key, config[key])
     env = os.environ.get("HDP_LAB_SEED") if key == "seed" else None
@@ -172,7 +182,7 @@ def _resolve(args: argparse.Namespace, key: str):
 
 
 def _outdir(args) -> str:
-    out = str(_resolve(args, "out"))
+    out = str(args.out)
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -257,7 +267,7 @@ def _ensemble_workers(args, paths: int, steps: int, worker_paths: int = 1) -> in
     By default one per CPU, but only as many as each get ``_FORK_PATH_STEPS``
     path-steps and ``worker_paths`` paths, and at least one.
     """
-    workers = _resolve(args, "workers")
+    workers = args.workers
     if workers is None:
         cpus = len(os.sched_getaffinity(0))
         workers = max(1, min(cpus, paths // worker_paths, paths * steps // _FORK_PATH_STEPS))
@@ -358,29 +368,18 @@ def _simulate_range(family, params, windows, grid, master, template, fh, start, 
 
 
 def cmd_simulate(args, written: list) -> int:
-    family = _resolve(args, "family")
-    if family not in FAMILIES:
-        raise CliError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
-    alpha = _resolve(args, "alpha")
-    theta = _resolve(args, "theta")
-    x0 = _resolve(args, "x0")
-    t_end = _resolve(args, "t_end")
-    steps = _resolve(args, "steps")
-    paths = _resolve(args, "paths")
-    master = _resolve(args, "seed")
-    window_a = _resolve(args, "window_a")
-    window_b = _resolve(args, "window_b")
+    family, paths, steps = args.family, args.paths, args.steps
     if paths < 1:
         raise CliError(f"--paths must be >= 1, got {paths}")
-    params = ModelParams(alpha=alpha, theta=theta, x0=x0)  # validates ranges
-    if family == "reflected" and x0 < 0.0:
-        raise CliError(f"reflected family needs x0 >= 0, got {x0}")
-    grid = make_grid(t_end, steps)
+    params = ModelParams(alpha=args.alpha, theta=args.theta, x0=args.x0)  # validates ranges
+    if family == "reflected" and args.x0 < 0.0:
+        raise CliError(f"reflected family needs x0 >= 0, got {args.x0}")
+    grid = make_grid(args.t_end, steps)
     template = _block_template(grid.times(), 4)
     out = _outdir(args)
     csv_path = os.path.join(out, "paths.csv")
     write_range = functools.partial(
-        _simulate_range, family, params, (window_a, window_b), grid, master, template
+        _simulate_range, family, params, (args.window_a, args.window_b), grid, args.seed, template
     )
     _write_ensemble(
         csv_path, ["path_id", "t", "B", "B_theta", "L", "X"], written,
@@ -391,21 +390,21 @@ def cmd_simulate(args, written: list) -> int:
         "package_version": __version__,
         "subcommand": "simulate",
         "family": family,
-        "alpha": alpha,
-        "theta": theta,
-        "x0": x0,
-        "t_end": t_end,
+        "alpha": args.alpha,
+        "theta": args.theta,
+        "x0": args.x0,
+        "t_end": args.t_end,
         "steps": steps,
         "paths": paths,
-        "master_seed": master,
+        "master_seed": args.seed,
         "seed_scheme": "SeedSpec(master_seed, path_id)",
         "non_solution_flag": family == "skew" and not params.is_known_solution,
         "columns": ["path_id", "t", "B", "B_theta", "L", "X"],
         "csv_file": os.path.basename(csv_path),
     }
     if family == "nonmarkov":
-        manifest["window_a"] = window_a
-        manifest["window_b"] = window_b
+        manifest["window_a"] = args.window_a
+        manifest["window_b"] = args.window_b
     _write_json(os.path.join(out, "manifest.json"), manifest, written)
     print(f"wrote {csv_path} ({paths} paths x {steps + 1} nodes) and its manifest")
     return 0
@@ -416,12 +415,9 @@ def cmd_simulate(args, written: list) -> int:
 
 
 def cmd_verify(args, written: list) -> int:
-    suite = _resolve(args, "suite")
-    if suite not in SUITE_NAMES:
-        raise CliError(f"unknown suite {suite!r}; known suites: {', '.join(SUITE_NAMES)}")
-    reports = run_suite(suite, _resolve(args, "workers"))
+    reports = run_suite(args.suite, args.workers)
     out = _outdir(args)
-    path = os.path.join(out, f"verify_{suite}.json")
+    path = os.path.join(out, f"verify_{args.suite}.json")
     _write_json(path, [report.to_dict() for report in reports], written)
     width = max(len(report.check_name) for report in reports)
     for report in reports:
@@ -470,17 +466,12 @@ def _read_points(path: str, n_columns: int, labels: tuple) -> list:
     return rows
 
 
+@np.errstate(over="ignore", invalid="ignore")  # past the float range the densities return 0 (inf * 0)
 def cmd_density(args, written: list) -> int:
-    which = _resolve(args, "which")
-    if which not in DENSITIES:
-        raise CliError(f"unknown density {which!r}; choose from {', '.join(DENSITIES)}")
-    points_file = _resolve(args, "points")
-    if points_file is None:
+    which, theta, t, x0 = args.which, args.theta, args.t_end, args.x0
+    if args.points is None:
         raise CliError("density requires --points (CSV file of evaluation points)")
-    theta = _resolve(args, "theta")
-    t = _resolve(args, "t_end")
     _require_positive("t", t)  # the joint-yb rows outside the wedge never reach a density
-    x0 = _resolve(args, "x0")
     if which == "skew":
         labels = ("b",)
     elif which == "joint-bl":
@@ -491,7 +482,7 @@ def cmd_density(args, written: list) -> int:
         if theta == 0.0:
             raise CliError("joint-yb needs theta != 0 (theta = 0 collapses the joint law to a line)")
         labels = ("y", "z")
-    points = _read_points(points_file, len(labels), labels)
+    points = _read_points(args.points, len(labels), labels)
     coeffs = SkewCoefficients(theta)
     table = []
     flagged = 0
@@ -526,10 +517,7 @@ def cmd_density(args, written: list) -> int:
 
 def _emit_record(args, name: str, record: dict, written: list) -> None:
     out = _outdir(args)
-    fmt = _resolve(args, "format")
-    if fmt not in ("csv", "json"):
-        raise CliError(f"unknown format {fmt!r}; choose csv or json")
-    if fmt == "json":
+    if args.format == "json":
         _write_json(os.path.join(out, f"{name}.json"), record, written)
     else:
         keys = list(record)
@@ -541,41 +529,34 @@ def _emit_record(args, name: str, record: dict, written: list) -> None:
 
 
 def cmd_msd(args, written: list) -> int:
-    alpha = _resolve(args, "alpha")
-    theta = _resolve(args, "theta")
-    t = _resolve(args, "t_end")
-    paths = _resolve(args, "paths")
+    alpha, theta, t, paths = args.alpha, args.theta, args.t_end, args.paths
     if paths < 0:
         raise CliError(f"--paths must be >= 0, got {paths}")
     record = {"alpha": alpha, "theta": theta, "t": t, "msd": msd(alpha, theta, t)}
     if paths > 0:
-        master = _resolve(args, "seed")
-        draws = np.atleast_1d(skew_transition_sample(theta, 0.0, t, SeedSpec(master), size=paths))
+        draws = np.atleast_1d(skew_transition_sample(theta, 0.0, t, SeedSpec(args.seed), size=paths))
         x = signed_power((1.0 - alpha) * draws, 1.0 / (1.0 - alpha))
         est = variance_with_se(x)
         record.update(
-            {"estimate": est.value, "std_error": est.std_error, "paths": paths, "seed": master}
+            {"estimate": est.value, "std_error": est.std_error, "paths": paths, "seed": args.seed}
         )
     _emit_record(args, "msd", record, written)
     return 0
 
 
 def cmd_exit_prob(args, written: list) -> int:
-    theta = _resolve(args, "theta")
-    eps = _resolve(args, "eps")
-    step_h = _resolve(args, "step_h")
-    paths = _resolve(args, "paths")
-    master = _resolve(args, "seed")
-    est = exit_probability(theta, eps=eps, n_paths=paths, h=step_h, seed=SeedSpec(master))
+    est = exit_probability(
+        args.theta, eps=args.eps, n_paths=args.paths, h=args.step_h, seed=SeedSpec(args.seed)
+    )
     record = {
-        "theta": theta,
-        "eps": eps,
-        "step_h": step_h,
-        "paths": paths,
-        "seed": master,
+        "theta": args.theta,
+        "eps": args.eps,
+        "step_h": args.step_h,
+        "paths": args.paths,
+        "seed": args.seed,
         "estimate": est.value,
         "std_error": est.std_error,
-        "target": (1.0 + theta) / 2.0,
+        "target": (1.0 + args.theta) / 2.0,
     }
     _emit_record(args, "exit_prob", record, written)
     return 0
@@ -594,19 +575,12 @@ def _reverse_range(theta, terminals, grid, seeds, template, fh, start, stop) -> 
 
 
 def cmd_reverse(args, written: list) -> int:
-    theta = _resolve(args, "theta")
-    horizon = _resolve(args, "horizon")
-    steps = _resolve(args, "steps")
-    paths = _resolve(args, "paths")
-    master = _resolve(args, "seed")
-    source = _resolve(args, "terminal_from")
-    x0 = _resolve(args, "x0")
-    if x0 != 0.0:
+    theta, horizon, steps, paths = args.theta, args.horizon, args.steps, args.paths
+    master, source = args.seed, args.terminal_from
+    if args.x0 != 0.0:
         raise CliError("reverse is defined for the x0 = 0 start; rerun with --x0 0")
     if paths < 1:
         raise CliError(f"--paths must be >= 1, got {paths}")
-    if source not in ("explicit", "forward-sim"):
-        raise CliError(f"unknown --terminal-from {source!r}; choose explicit or forward-sim")
     grid = make_grid(horizon, steps)
     if source == "explicit":
         terminals = np.atleast_1d(
@@ -663,6 +637,8 @@ def _add_options(parser: argparse.ArgumentParser, func, names: str, **defaults) 
 
     ``defaults`` override the table's for this subcommand, in its help and in
     ``_resolve``.  A flag not given parses to None, so a config value can fill it.
+    Choices show in the help but are checked in ``main``, for flags and config
+    values alike.
     """
     own = {}
     for name in names.split():
@@ -670,13 +646,14 @@ def _add_options(parser: argparse.ArgumentParser, func, names: str, **defaults) 
         kind, default, choices, text = _OPTIONS[key]
         own[key] = default = defaults.get(key, default)
         shown = "" if default is None else f" [{default}]"
-        parser.add_argument(f"--{name}", dest=key, type=kind, choices=choices, help=text + shown)
+        metavar = "{" + ",".join(choices) + "}" if choices else None
+        parser.add_argument(f"--{name}", dest=key, type=kind, metavar=metavar, help=text + shown)
     parser.add_argument("--config", help="KEY=VALUE config file; flags win over the file")
     parser.set_defaults(func=func, _defaults=own)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hdp-lab",
         description=__doc__.splitlines()[0],
         epilog=(
@@ -755,12 +732,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     written: list = []
     try:
-        args._config_values = _parse_config_file(args.config) if args.config else {}
-        workers = _resolve(args, "workers") if "workers" in args._defaults else None
+        args = build_parser().parse_args(argv)
+        config = _parse_config_file(args.config) if args.config else {}
+        for key in args._defaults:  # the options this subcommand takes
+            value = _resolve(args, key, config)
+            choices = _OPTIONS[key][2]
+            if choices is not None and value not in choices:
+                name = key.replace("_", "-")
+                problem = f"--{name} is required" if value is None else f"unknown {name} {value!r}"
+                raise CliError(f"{problem}; choose from {', '.join(choices)}")
+            setattr(args, key, value)
+        workers = getattr(args, "workers", None)
         limit = WORKERS_PER_CPU * len(os.sched_getaffinity(0))
         if workers is not None and not 1 <= workers <= limit:
             raise CliError(

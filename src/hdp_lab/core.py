@@ -36,7 +36,8 @@ class TimeGrid:
     Parameters
     ----------
     t_end : positive horizon.
-    n_steps : number of steps n >= 1; the grid has n + 1 nodes.
+    n_steps : number of steps n >= 1; the grid has n + 1 nodes.  The step
+        t_end / n_steps must not round to 0.
     """
 
     t_end: float
@@ -47,6 +48,8 @@ class TimeGrid:
             raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
         if int(self.n_steps) != self.n_steps or self.n_steps < 1:
             raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps}")
+        if not self.t_end / self.n_steps > 0.0:
+            raise ValueError(f"the step t_end / n_steps = {self.t_end} / {self.n_steps} rounds to 0")
         object.__setattr__(self, "t_end", float(self.t_end))
         object.__setattr__(self, "n_steps", int(self.n_steps))
 
@@ -58,9 +61,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         """All n_steps + 1 node times, including both endpoints."""
         return np.linspace(0.0, self.t_end, self.n_steps + 1)
-
-    def same_as(self, other: "TimeGrid") -> bool:
-        return self.t_end == other.t_end and self.n_steps == other.n_steps
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def _require_positive(name: str, value: float) -> None:
 
 
 def _require_same_grid(a: Path, b: Path) -> None:
-    if not a.grid.same_as(b.grid):
+    if a.grid != b.grid:
         raise ValueError(
             f"paths live on different grids: ({a.grid.t_end}, {a.grid.n_steps}) "
             f"vs ({b.grid.t_end}, {b.grid.n_steps})"
@@ -131,10 +131,6 @@ class SeedSpec:
             bitgen = bitgen.jumped(self.stream_index)
         return np.random.Generator(bitgen)
 
-    def stream(self, offset: int) -> "SeedSpec":
-        """A SeedSpec addressing stream ``stream_index + offset`` of the same master."""
-        return SeedSpec(self.master_seed, self.stream_index + offset)
-
 
 #: 64-bit outputs per Philox4x64 counter value
 _PHILOX_BLOCK = 4
@@ -145,10 +141,11 @@ def _skip_doubles(rng: np.random.Generator, m: int) -> None:
 
     Every double takes one 64-bit output.  Philox serves them from a buffer
     of the four outputs of its current counter; each refill first adds one
-    to the 256-bit counter.  So the skip uses up the buffer, adds the number
-    of whole blocks passed over to the counter, and draws the at most four
-    outputs read from the last block, which leaves that block in the buffer
-    as the draws would have.
+    to the 256-bit counter.  So the skip uses up the buffer, advances the
+    counter past the whole blocks passed over (``Philox.advance``, which
+    also empties the buffer), and draws the at most four outputs read from
+    the last block, which leaves that block in the buffer as the draws
+    would have.
     """
     bitgen = rng.bit_generator
     state = bitgen.state
@@ -158,13 +155,7 @@ def _skip_doubles(rng: np.random.Generator, m: int) -> None:
         bitgen.state = state
         return
     skipped = (left - 1) // _PHILOX_BLOCK
-    counter = state["state"]["counter"]  # four 64-bit words, least significant first
-    carry = skipped
-    for i in range(counter.size):
-        total = int(counter[i]) + carry
-        counter[i], carry = total & (2**64 - 1), total >> 64
-    state["buffer_pos"] = _PHILOX_BLOCK
-    bitgen.state = state
+    bitgen.advance(skipped)
     bitgen.random_raw(left - _PHILOX_BLOCK * skipped)
 
 
@@ -173,7 +164,10 @@ def _fork_map(work: Callable, shares: list) -> list:
 
     Every worker starts before this process runs its own share, so all run
     at once.  A worker sends back its result, or the exception it raised,
-    pickled through a pipe, and the exception is raised here: a worker out
+    pickled through a pipe.  Once its own share is done, this process reads
+    the pipes as they become ready, whatever the share order, and raises the
+    first failure it reads, so a worker that fails early is not reported
+    only after the others finish.  The exception is raised here: a worker out
     of memory still reads ``error: out of memory``, and one whose exception
     does not survive the trip sends its text in a :class:`ChildProcessError`.
     A worker that died with no message raises :class:`ChildProcessError`.
@@ -195,6 +189,7 @@ def _fork_map(work: Callable, shares: list) -> list:
         return [work(shares[0])]
     import multiprocessing
     import signal
+    from multiprocessing.connection import wait
 
     context = multiprocessing.get_context("fork")
     workers = []  # (process, read end of its pipe)
@@ -211,19 +206,22 @@ def _fork_map(work: Callable, shares: list) -> list:
                     os.close(write_fd)
         finally:
             signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-        results = [work(shares[0])]
-        for process, read_fd in workers:
-            with open(read_fd, "rb", closefd=False) as pipe:
-                message = pipe.read()
-            process.join()
-            if not message:
-                raise ChildProcessError(
-                    f"a forked worker died before its work finished (exit code {process.exitcode})"
-                )
-            ok, value = pickle.loads(message)
-            if not ok:
-                raise value
-            results.append(value)
+        results = [work(shares[0]), *(None for _ in workers)]
+        pending = {read_fd: (k, process) for k, (process, read_fd) in enumerate(workers, start=1)}
+        while pending:
+            for read_fd in wait(list(pending)):
+                k, process = pending.pop(read_fd)
+                with open(read_fd, "rb", closefd=False) as pipe:
+                    message = pipe.read()
+                process.join()
+                if not message:
+                    raise ChildProcessError(
+                        f"a forked worker died before its work finished (exit code {process.exitcode})"
+                    )
+                ok, value = pickle.loads(message)
+                if not ok:
+                    raise value
+                results[k] = value
         return results
     finally:
         for process, read_fd in workers:

@@ -288,7 +288,7 @@ def check_sign_bracket_local_time() -> list[VerificationReport]:
     deviations = []
     for i in range(100):
         b = sample_brownian(grid, SeedSpec(master, i))
-        bracket = bracket_estimate(Path(grid, np.sign(b.values)), b).curve.terminal
+        bracket = bracket_estimate(Path(grid, np.sign(b.values)), b).terminal
         lhat = local_time_occupation(b, eps).terminal
         deviations.append(abs(bracket - 2.0 * lhat) / (2.0 * lhat))
     mean_dev = float(np.mean(deviations))

@@ -24,7 +24,6 @@ from .skew import CoupledSkewPath
 from .solutions import TINY_BASE, ModelParams, signed_power
 
 __all__ = [
-    "PartitionSumResult",
     "MollifierBracketReport",
     "PvReport",
     "ito_sum",
@@ -40,41 +39,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PartitionSumResult:
-    """Running partition sum: curve of values at grid nodes (curve_0 = 0)."""
-
-    curve: Path
-    mesh: float
-
-
-def _running_sum(grid, terms: np.ndarray) -> PartitionSumResult:
+def _running_sum(grid, terms: np.ndarray) -> Path:
+    """Running partition sum: the curve of values at the grid nodes, 0 at the first."""
     curve = np.empty(grid.n_steps + 1)
     curve[0] = 0.0
     np.cumsum(terms, out=curve[1:])
-    return PartitionSumResult(Path(grid, curve), grid.h)
+    return Path(grid, curve)
 
 
-def ito_sum(integrand: Path, driver: Path) -> PartitionSumResult:
+def ito_sum(integrand: Path, driver: Path) -> Path:
     """Left-endpoint (forward/Ito) sums: sum of X_{t_k} (Y_{t_{k+1}} - Y_{t_k})."""
     _require_same_grid(integrand, driver)
     return _running_sum(integrand.grid, integrand.values[:-1] * driver.increments())
 
 
-def backward_sum(integrand: Path, driver: Path) -> PartitionSumResult:
+def backward_sum(integrand: Path, driver: Path) -> Path:
     """Right-endpoint (backward) sums: sum of X_{t_{k+1}} (Y_{t_{k+1}} - Y_{t_k})."""
     _require_same_grid(integrand, driver)
     return _running_sum(integrand.grid, integrand.values[1:] * driver.increments())
 
 
-def stratonovich_sum(integrand: Path, driver: Path) -> PartitionSumResult:
+def stratonovich_sum(integrand: Path, driver: Path) -> Path:
     """Midpoint (Stratonovich) sums: sum of (X_{t_k} + X_{t_{k+1}})/2 * increments."""
     _require_same_grid(integrand, driver)
     mid = 0.5 * (integrand.values[:-1] + integrand.values[1:])
     return _running_sum(integrand.grid, mid * driver.increments())
 
 
-def bracket_estimate(f_of_X: Path, driver: Path) -> PartitionSumResult:
+def bracket_estimate(f_of_X: Path, driver: Path) -> Path:
     """Quadratic-covariation sums: sum of increment products of f(X) and the driver.
 
     The caller applies f to the path first, so rough f (sign, fractional
@@ -137,11 +129,11 @@ def bracket_convergence(
         raise ValueError("mollifier widths must be strictly decreasing")
     rough = bracket_estimate(
         Path(coupled.grid, f(coupled.skew_B.values)), coupled.driver_B
-    ).curve.values
+    ).values
     sups = []
     for w in widths:
         smooth_path = Path(coupled.grid, mollify(f, w)(coupled.skew_B.values))
-        smooth = bracket_estimate(smooth_path, coupled.driver_B).curve.values
+        smooth = bracket_estimate(smooth_path, coupled.driver_B).values
         sups.append(float(np.max(np.abs(smooth - rough))))
     return MollifierBracketReport(tuple(widths), tuple(sups))
 
@@ -241,4 +233,4 @@ def sde_residual(params: ModelParams, X: Path, driver: Path) -> Path:
     _require_same_grid(X, driver)
     integrand = Path(X.grid, abs_power_along_path(X.values, params.alpha))
     sym = stratonovich_sum(integrand, driver)
-    return Path(X.grid, X.values - X.values[0] - sym.curve.values)
+    return Path(X.grid, X.values - X.values[0] - sym.values)

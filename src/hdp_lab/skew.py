@@ -42,8 +42,14 @@ __all__ = [
 
 
 def gauss_pdf(t: float, x):
-    """Density of N(0, t) at x."""
-    return np.exp(-np.square(x) / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
+    """Density of N(0, t) at x.
+
+    Above about t = 2.9e307, where 2*pi*t overflows, the normaliser is taken as
+    sqrt(2*pi) * sqrt(t), which is finite for every finite t.
+    """
+    two_pi_t = 2.0 * math.pi * t
+    norm = math.sqrt(two_pi_t) if two_pi_t < math.inf else math.sqrt(2.0 * math.pi) * math.sqrt(t)
+    return np.exp(-np.square(x) / (2.0 * t)) / norm
 
 
 def _require_theta(theta) -> float:
@@ -74,10 +80,6 @@ class SkewCoefficients:
     @property
     def beta_minus(self) -> float:
         return (1.0 - self.theta) / 2.0
-
-    @property
-    def kappa(self) -> float:
-        return (1.0 - self.theta**2) / 2.0
 
     def beta(self, x):
         """(1 + theta*sign x)/2; jumps across 0, beta(0) = 1/2."""

@@ -85,6 +85,22 @@ class TestJointDensities:
         with pytest.raises(ValueError, match="theta = 0"):
             joint_density_YB(0.0, 1.0, 0.5, 0.1)
 
+    @pytest.mark.parametrize("theta", [1e-160, 2.2e-309])  # 2 / theta^2 overflows; theta^2 is 0
+    def test_yb_theta_past_the_float_range_rejected(self, theta):
+        with pytest.raises(ValueError, match="out of the float range"):
+            joint_density_YB(theta, 1.0, 1e-160, 0.0)
+
+    @pytest.mark.parametrize(
+        "density, args",
+        [(joint_density_BL, (0.5, 1e-100, 0.0, 1e200, 1.0)),  # 2 beta m / norm overflows
+         (joint_density_BL, (0.5, 1.0, 0.0, 1e308, 1e308)),  # m overflows
+         (joint_density_YB, (0.5, 1.0, 1e308, 0.1))],  # 2 y beta^2 overflows
+    )
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_zero_where_the_gaussian_factor_underflows(self, density, args):
+        # the factor before exp(-m^2/...) overflows there, and inf * 0 was nan
+        assert density(*args) == 0.0
+
     @pytest.mark.parametrize("t", [1e103, 1e-120])  # t**3 overflows; 2 pi t**3 rounds to 0
     @pytest.mark.parametrize(
         "density, point", [(joint_density_BL, (0.0, 0.3, 0.2)), (joint_density_YB, (0.5, 0.1))]
@@ -118,6 +134,13 @@ class TestBridgeReversal:
     def test_full_skew_wrong_side_rejected(self):
         with pytest.raises(ValueError, match="unreachable"):
             reversed_pair_bridge(1.0, -0.5, make_grid(1.0, 100), SeedSpec(76))
+
+    @pytest.mark.parametrize("capture_step", [None, 1])
+    def test_local_time_past_the_float_range_rejected(self, capture_step):
+        # 2h*log(1 - u) overflows at h = 1e308: the Z column was inf - inf = nan
+        grid = make_grid(1e308, 1)
+        with pytest.raises(ValueError, match="too long for the bridge"):
+            reversed_bridge_ensemble(0.5, [1e154], grid, SeedSpec(76), capture_step)
 
     def test_ensemble_mid_capture_law(self):
         theta, horizon = 0.5, 1.0

@@ -129,6 +129,18 @@ class TestDensity:
         assert float(rows[0][1]) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=1e-12)
         assert rows[0][2] == "ok"
 
+    def test_skew_value_where_two_pi_t_overflows(self, tmp_path):
+        # 2*pi*t overflows at t = 1e308, though phi_t(0) = 1/sqrt(2*pi*t) = 3.989e-155
+        points = tmp_path / "pts.csv"
+        points.write_text("b\n0\n1\n")
+        argv = ["density", "--which", "skew", "--theta", "0.5", "--t-end", "1e308",
+                "--points", str(points), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        _, rows = read_csv(tmp_path / "density_skew.csv")
+        phi = 1.0 / (np.sqrt(2.0 * np.pi) * 1e154)
+        assert [float(row[1]) for row in rows] == pytest.approx([phi, 1.5 * phi], rel=1e-15, abs=0.0)
+        assert [row[2] for row in rows] == ["ok", "ok"]
+
     def test_yb_outside_wedge_flags_row_and_exits_1(self, tmp_path):
         points = tmp_path / "pts.csv"
         points.write_text("y,z\n0.5,0.1\n0.5,5.0\n")
@@ -440,8 +452,8 @@ SUBCOMMAND_OPTIONS = {
 }
 
 
-def _keys_resolved_from(function_name: str) -> set:
-    """The keys ``cli._resolve`` is asked for in a cli function or in any cli function it names, read from the source."""
+def _keys_read_by(function_name: str) -> set:
+    """The ``args.<key>`` options a cli function reads, itself or through any cli function it names, from the source."""
     tree = ast.parse(inspect.getsource(cli))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     keys, seen, todo = set(), set(), [function_name]
@@ -451,8 +463,8 @@ def _keys_resolved_from(function_name: str) -> set:
             continue
         seen.add(name)
         for node in ast.walk(functions[name]):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_resolve":
-                keys.add(node.args[1].value)  # a key that is not a literal fails here
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+                keys.add(node.attr)
             elif isinstance(node, ast.Name) and node.id in functions:
                 todo.append(node.id)
     return keys
@@ -468,36 +480,78 @@ class TestParserSurface:
         parser = subparsers.choices[subcommand]
         actions = [action for action in parser._actions if action.dest != "help"]
         assert [action.option_strings[0] for action in actions] == [f"--{n}" for n in options.split()]
-        # main reads --config for every subcommand; the command reads the rest through _resolve
-        reads = _keys_resolved_from(parser.get_default("func").__name__) | {"config"}
+        # main reads --config for every subcommand and resolves the rest onto args for the command
+        reads = _keys_read_by(parser.get_default("func").__name__) | {"config"}
         assert {action.dest for action in actions} == reads
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["reverse", "--t-end", "2", "--paths", "1", "--steps", "5"],
+            ["reverse", "--paths", "1", "--steps", "5", "--t-end", "2"],
             ["verify", "--suite", "msd", "--seed", "3"],
-            ["exit-prob", "--steps", "5", "--paths", "10", "--step-h", "1e-3"],
+            ["exit-prob", "--paths", "10", "--step-h", "1e-3", "--steps", "5"],
             ["simulate", "--family", "benchmark", "--paths", "1", "--steps", "5", "--format", "json"],
             ["density", "--which", "skew", "--points", "pts.csv", "--workers", "2"],
         ],
     )
     def test_an_option_the_command_does_not_read_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        """One ``error:`` line naming the option (the last two of ``argv``), and no output."""
         monkeypatch.chdir(tmp_path)
         Path("pts.csv").write_text("b\n0\n")
-        with pytest.raises(SystemExit) as exited:
-            main([*argv, "--out", "out"])
-        assert exited.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main([*argv, "--out", "out"]) == 2
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"
         assert not Path("out").exists()
 
     @pytest.mark.parametrize("command, paths", [("msd", 0), ("exit-prob", 20_000), ("simulate", 10)])
     def test_paths_default_per_subcommand_and_in_help(self, capsys, command, paths):
         args = cli.build_parser().parse_args([command])
-        assert cli._resolve(args, "paths") == paths
+        assert cli._resolve(args, "paths", {}) == paths
         with pytest.raises(SystemExit):
             main([command, "--help"])
         assert f"[{paths}]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["simulate", "--paths", "abc"], "", "argument --paths: invalid int value: 'abc'"),
+            (["simulate", "--family", "skew"], "paths=abc", "config value paths='abc' is not a int"),
+            (["simulate", "--family", "bogus"], "",
+             "unknown family 'bogus'; choose from benchmark, stopped, nonmarkov, skew, reflected"),
+            (["simulate"], "family=bogus",
+             "unknown family 'bogus'; choose from benchmark, stopped, nonmarkov, skew, reflected"),
+            (["simulate"], "", "--family is required; choose from benchmark, stopped, nonmarkov, skew, reflected"),
+            (["density", "--points", "pts.csv"], "which=joint",
+             "unknown which 'joint'; choose from skew, joint-bl, joint-yb"),
+            (["reverse"], "terminal_from=backward",
+             "unknown terminal-from 'backward'; choose from explicit, forward-sim"),
+            (["msd"], "format=xml", "unknown format 'xml'; choose from csv, json"),
+            (["verify", "--suite", "heat", "--workers", "two"], "",
+             "argument --workers: invalid int value: 'two'"),
+            ([], "", "the following arguments are required: subcommand"),
+        ],
+    )
+    def test_a_usage_error_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv, config, message):
+        """Parse errors, bad values and missing choices, from a flag or a config file alike."""
+        monkeypatch.chdir(tmp_path)
+        Path("pts.csv").write_text("b\n0\n")
+        Path("run.cfg").write_text(config)
+        if argv:
+            argv = [*argv, "--config", "run.cfg", "--out", "out"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not Path("out").exists()
+
+    def test_a_bad_value_is_reported_even_where_the_run_would_not_read_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HDP_LAB_SEED", "abc")
+        assert main(["msd", "--paths", "0", "--out", str(tmp_path)]) == 2  # closed form only
+        assert capsys.readouterr().err == "error: HDP_LAB_SEED='abc' is not an integer\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["simulate", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 0
+        assert capsys.readouterr().out
 
 
 #: sha256 of the ensemble CSVs of small runs, recorded with the per-float

@@ -34,9 +34,10 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(1.0, n_steps)
 
-    def test_same_as(self):
-        assert make_grid(1.0, 4).same_as(make_grid(1.0, 4))
-        assert not make_grid(1.0, 4).same_as(make_grid(1.0, 5))
+    def test_a_step_that_rounds_to_zero_rejected(self):
+        # 5e-324 / 10 is 0: a zero step divided the skew walk's start by 0
+        with pytest.raises(ValueError, match="rounds to 0"):
+            TimeGrid(5e-324, 10)
 
 
 class TestPath:
@@ -64,9 +65,6 @@ class TestSeedSpec:
         a = SeedSpec(99, 0).generator().standard_normal(5)
         b = SeedSpec(99, 1).generator().standard_normal(5)
         assert not np.array_equal(a, b)
-
-    def test_stream_offset_helper(self):
-        assert SeedSpec(7, 2).stream(5) == SeedSpec(7, 7)
 
     @pytest.mark.parametrize("master", [-1, 2**64])
     def test_master_seed_range(self, master):
@@ -199,3 +197,24 @@ class TestForkPool:
         with pytest.raises(KeyboardInterrupt):
             _fork_map(work, [0, 1])
         assert time.monotonic() - start < 30.0
+
+    def test_a_failed_worker_is_raised_before_a_slower_earlier_one_finishes(self):
+        """Share 2 dies at once while share 1 sleeps: the failure is read first, not in share order."""
+
+        def work(share):
+            if share == 1:
+                time.sleep(3.0)
+            elif share == 2:
+                os._exit(1)
+
+        start = time.monotonic()
+        with pytest.raises(ChildProcessError, match="exit code 1"):
+            _fork_map(work, [0, 1, 2])
+        assert time.monotonic() - start < 1.0
+
+    def test_results_come_back_in_share_order_whatever_order_the_workers_end(self):
+        def work(share):
+            time.sleep(0.1 * (3 - share))
+            return share
+
+        assert _fork_map(work, [0, 1, 2, 3]) == [0, 1, 2, 3]

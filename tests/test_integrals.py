@@ -59,14 +59,14 @@ class TestPartitionSums:
     @given(pair=integrand_driver_pairs())
     def test_forward_backward_bracket_identity(self, pair):
         integrand, driver = pair
-        fwd = ito_sum(integrand, driver).curve.values
-        bwd = backward_sum(integrand, driver).curve.values
-        bracket = bracket_estimate(integrand, driver).curve.values
+        fwd = ito_sum(integrand, driver).values
+        bwd = backward_sum(integrand, driver).values
+        bracket = bracket_estimate(integrand, driver).values
         np.testing.assert_allclose(bwd - fwd, bracket, atol=1e-12)
 
     def test_symmetric_sum_telescopes_for_identity_integrand(self, brownian):
         x = brownian
-        sym = stratonovich_sum(x, x).curve.values
+        sym = stratonovich_sum(x, x).values
         exact = 0.5 * (x.values**2 - x.values[0] ** 2)
         np.testing.assert_allclose(sym, exact, atol=1e-12)
 
@@ -74,18 +74,18 @@ class TestPartitionSums:
     @given(pair=integrand_driver_pairs())
     def test_symmetric_is_average_of_one_sided(self, pair):
         integrand, driver = pair
-        sym = stratonovich_sum(integrand, driver).curve.values
-        fwd = ito_sum(integrand, driver).curve.values
-        bwd = backward_sum(integrand, driver).curve.values
+        sym = stratonovich_sum(integrand, driver).values
+        fwd = ito_sum(integrand, driver).values
+        bwd = backward_sum(integrand, driver).values
         np.testing.assert_allclose(sym, 0.5 * (fwd + bwd), atol=1e-12)
 
     def test_literal_small_case(self):
         grid = make_grid(2.0, 2)
         f = Path(grid, np.array([1.0, 3.0, 2.0]))
         y = Path(grid, np.array([0.0, 1.0, 3.0]))
-        assert ito_sum(f, y).curve.terminal == 1.0 + 3.0 * 2.0
-        assert backward_sum(f, y).curve.terminal == 3.0 + 2.0 * 2.0
-        assert bracket_estimate(f, y).curve.terminal == (3 - 1) * 1 + (2 - 3) * 2
+        assert ito_sum(f, y).terminal == 1.0 + 3.0 * 2.0
+        assert backward_sum(f, y).terminal == 3.0 + 2.0 * 2.0
+        assert bracket_estimate(f, y).terminal == (3 - 1) * 1 + (2 - 3) * 2
 
     def test_grid_mismatch_rejected(self):
         a = Path(make_grid(1.0, 2), np.zeros(3))

@@ -79,11 +79,10 @@ class TestSkewCoefficients:
         with pytest.raises(ValueError, match=rf"^theta must lie in \[-1, 1\], got {theta}$"):
             call(theta)
 
-    def test_split_probabilities_and_kappa(self):
+    def test_split_probabilities(self):
         co = SkewCoefficients(0.5)
         assert co.beta_plus == 0.75
         assert co.beta_minus == 0.25
-        assert co.kappa == 0.375
 
     @settings(max_examples=100)
     @given(theta=THETAS, values=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20))
