@@ -32,13 +32,10 @@ from .solutions import (
     stopped_solution,
 )
 from .integrals import (
-    MollifierBracketReport,
-    PvReport,
     abs_power_along_path,
     backward_sum,
     bracket_convergence,
     bracket_estimate,
-    default_eps_sequence,
     ito_sum,
     mollify,
     pv_integral,

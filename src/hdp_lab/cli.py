@@ -532,9 +532,11 @@ def cmd_msd(args, written: list) -> int:
     alpha, theta, t, paths = args.alpha, args.theta, args.t_end, args.paths
     if paths < 0:
         raise CliError(f"--paths must be >= 0, got {paths}")
+    if 0 < paths < 4:
+        raise CliError(f"--paths must be 0 (closed form only) or >= 4, got {paths}")
     record = {"alpha": alpha, "theta": theta, "t": t, "msd": msd(alpha, theta, t)}
     if paths > 0:
-        draws = np.atleast_1d(skew_transition_sample(theta, 0.0, t, SeedSpec(args.seed), size=paths))
+        draws = skew_transition_sample(theta, 0.0, t, SeedSpec(args.seed), size=paths)
         x = signed_power((1.0 - alpha) * draws, 1.0 / (1.0 - alpha))
         est = variance_with_se(x)
         record.update(
@@ -545,6 +547,8 @@ def cmd_msd(args, written: list) -> int:
 
 
 def cmd_exit_prob(args, written: list) -> int:
+    if args.paths < 2:
+        raise CliError(f"--paths must be >= 2, got {args.paths}")
     est = exit_probability(
         args.theta, eps=args.eps, n_paths=args.paths, h=args.step_h, seed=SeedSpec(args.seed)
     )
@@ -583,9 +587,7 @@ def cmd_reverse(args, written: list) -> int:
         raise CliError(f"--paths must be >= 1, got {paths}")
     grid = make_grid(horizon, steps)
     if source == "explicit":
-        terminals = np.atleast_1d(
-            skew_transition_sample(theta, 0.0, horizon, SeedSpec(master), size=paths)
-        )
+        terminals = skew_transition_sample(theta, 0.0, horizon, SeedSpec(master), size=paths)
         streams = range(1, paths + 1)
     else:
         terminals = np.array(

@@ -28,7 +28,6 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,13 +40,7 @@ from .analytics import (
     reversed_bridge_ensemble,
 )
 from .core import Path, SeedSpec, _fork_map, make_grid, sample_brownian
-from .integrals import (
-    PvReport,
-    bracket_convergence,
-    bracket_estimate,
-    pv_integral,
-    sde_residual,
-)
+from .integrals import bracket_convergence, bracket_estimate, pv_integral, sde_residual
 from .skew import (
     SkewCoefficients,
     local_time_occupation,
@@ -65,14 +58,6 @@ from .stats import (
     report_within_tolerance,
     variance_with_se,
 )
-
-
-@dataclass
-class _ResidualExperiment:
-    """Named residual computation consumed by :func:`convergence_study`."""
-
-    name: str
-    residuals: Callable[[int], np.ndarray]
 
 
 def _check(*points: tuple, seconds: tuple = (), imports: tuple = ()):
@@ -141,7 +126,7 @@ def check_exit_probabilities(theta: float, master: int) -> list[VerificationRepo
 )
 def check_mean_square_displacement(alpha: float, theta: float, master: int) -> list[VerificationReport]:
     """Sample variance of exactly sampled solutions matches the closed-form msd."""
-    b = np.atleast_1d(skew_transition_sample(theta, 0.0, 1.0, SeedSpec(master), size=100_000))
+    b = skew_transition_sample(theta, 0.0, 1.0, SeedSpec(master), size=100_000)
     x = signed_power((1.0 - alpha) * b, 1.0 / (1.0 - alpha))
     est = variance_with_se(x)
     return [
@@ -190,10 +175,7 @@ def check_benchmark_residual_refinement() -> list[VerificationReport]:
                 sups.append(float(np.max(np.abs(res.values))))
             return np.asarray(sups)
 
-        experiment = _ResidualExperiment(
-            name=f"benchmark residual refinement, alpha={alpha}", residuals=residuals
-        )
-        report = convergence_study(experiment, meshes)
+        report = convergence_study(f"benchmark residual refinement, alpha={alpha}", residuals, meshes)
         report.metadata.update(
             {"alpha": alpha, "x0": 1.0, "n_paths": n_paths, "master_seed": master}
         )
@@ -219,8 +201,7 @@ def check_skew_residual_refinement() -> list[VerificationReport]:
             sups.append(float(np.max(np.abs(res.values))))
         return np.asarray(sups)
 
-    experiment = _ResidualExperiment(name="skew residual refinement", residuals=residuals)
-    report = convergence_study(experiment, meshes)
+    report = convergence_study("skew residual refinement", residuals, meshes)
     report.metadata.update(
         {
             "alpha": 0.5,
@@ -319,10 +300,10 @@ def check_mollified_bracket_convergence(label: str, f: Callable) -> list[Verific
     first, last, all_pass = [], [], True
     for i in range(10):
         coupled = simulate_skew_pair(0.5, 0.0, grid, SeedSpec(master, i))
-        report = bracket_convergence(f, coupled, widths)
-        first.append(report.sup_differences[0])
-        last.append(report.sup_differences[-1])
-        all_pass = all_pass and report.nonincreasing and report.strictly_shrinks
+        sups = bracket_convergence(f, coupled, widths)
+        first.append(sups[0])
+        last.append(sups[-1])
+        all_pass = all_pass and bool(np.all(sups[1:] <= sups[:-1])) and sups[-1] < sups[0]
     return [
         VerificationReport(
             check_name=f"mollified bracket convergence, f = {label}",
@@ -513,9 +494,7 @@ def check_time_reversal(theta: float) -> list[VerificationReport]:
     capture = n_steps // 2
     grid = make_grid(horizon, n_steps)
     coeffs = SkewCoefficients(theta)
-    terminals = np.atleast_1d(
-        skew_transition_sample(theta, 0.0, horizon, SeedSpec(7201), size=n_paths)
-    )
+    terminals = skew_transition_sample(theta, 0.0, horizon, SeedSpec(7201), size=n_paths)
     y_mid, z_mid, _ = reversed_bridge_ensemble(theta, terminals, grid, SeedSpec(7202), capture)
     _, p_y = ks_test(y_mid, lambda v: skew_cdf(theta, horizon / 2.0, coeffs.r(v)))
     _, p_z = ks_test(z_mid, lambda v: ndtr(np.asarray(v) / math.sqrt(horizon / 2.0)))
@@ -554,19 +533,21 @@ def check_pv_truncation(theta: float, master: int) -> list[VerificationReport]:
             path = sample_brownian(grid, SeedSpec(master, i))
         else:
             path = simulate_skew_pair(theta, 0.0, grid, SeedSpec(master, i)).skew_B
-        profile += np.asarray(pv_integral(path, -1.0, eps_sequence).values)
+        profile += pv_integral(path, -1.0, eps_sequence)
     profile /= n_paths
-    report = PvReport(eps=eps_sequence, values=tuple(profile), exponent=-1.0)
+    diffs = np.diff(profile)
+    largest = float(np.max(np.abs(diffs)))
     if theta == 0.0:
-        passed = report.is_cauchy(tolerance)
+        passed = largest < tolerance
         rule = "ensemble-mean truncated values Cauchy within 0.5"
     else:
-        passed = not report.is_cauchy(tolerance) and report.has_monotone_drift(tolerance)
+        one_signed = bool(np.all(diffs > 0.0)) or bool(np.all(diffs < 0.0))
+        passed = one_signed and largest >= tolerance
         rule = "ensemble-mean truncated values drift one-signed beyond 0.5"
     return [
         VerificationReport(
             check_name=f"pv truncation, theta={theta}",
-            measured=float(np.max(np.abs(report.diffs()))),
+            measured=largest,
             reference=0.0,
             tolerance=tolerance,
             passed=bool(passed),

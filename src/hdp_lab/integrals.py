@@ -9,12 +9,13 @@ tests rely on:
     stratonovich = (forward + backward) / 2        bracket = backward - forward
 
 node-wise to rounding, for every integrand/driver pair on a shared grid.
+The principal-value and mollified-bracket kernels return plain arrays, one
+entry per truncation level or width; whether such a profile stabilizes,
+drifts or shrinks is judged by the verify check that reads it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,15 +25,12 @@ from .skew import CoupledSkewPath
 from .solutions import TINY_BASE, ModelParams, signed_power
 
 __all__ = [
-    "MollifierBracketReport",
-    "PvReport",
     "ito_sum",
     "backward_sum",
     "stratonovich_sum",
     "bracket_estimate",
     "bracket_convergence",
     "mollify",
-    "default_eps_sequence",
     "pv_integral",
     "sde_residual",
     "abs_power_along_path",
@@ -96,33 +94,16 @@ def mollify(f: Callable, width: float) -> Callable:
     return smoothed
 
 
-@dataclass(frozen=True)
-class MollifierBracketReport:
-    """Sup-differences between mollified and rough brackets, one per width."""
-
-    widths: tuple
-    sup_differences: tuple
-
-    @property
-    def nonincreasing(self) -> bool:
-        d = self.sup_differences
-        return all(d[i + 1] <= d[i] for i in range(len(d) - 1))
-
-    @property
-    def strictly_shrinks(self) -> bool:
-        """Nonincreasing with a strict overall drop (ties at the floor allowed)."""
-        d = self.sup_differences
-        return self.nonincreasing and d[-1] < d[0]
-
-
 def bracket_convergence(
     f: Callable, coupled: CoupledSkewPath, mollifier_widths: Sequence[float]
-) -> MollifierBracketReport:
-    """Compare brackets of mollified f against the rough-f bracket on one path.
+) -> np.ndarray:
+    """Sup-differences between mollified-f and rough-f brackets on one path, one per width.
 
     For each width w the bracket of mollify(f, w)(B^theta) against the driver
-    is computed and the sup over nodes of its difference from the rough
-    bracket is reported.  Widths must be strictly decreasing.
+    is computed, and the sup over nodes of its difference from the rough
+    bracket is the entry for w.  Widths must be strictly decreasing.  Whether
+    the entries shrink is judged by
+    :func:`~hdp_lab.experiments.check_mollified_bracket_convergence`.
     """
     widths = [float(w) for w in mollifier_widths]
     if any(b >= a for a, b in zip(widths, widths[1:])):
@@ -134,64 +115,27 @@ def bracket_convergence(
     for w in widths:
         smooth_path = Path(coupled.grid, mollify(f, w)(coupled.skew_B.values))
         smooth = bracket_estimate(smooth_path, coupled.driver_B).values
-        sups.append(float(np.max(np.abs(smooth - rough))))
-    return MollifierBracketReport(tuple(widths), tuple(sups))
+        sups.append(np.max(np.abs(smooth - rough)))
+    return np.array(sups)
 
 
-@dataclass(frozen=True)
-class PvReport:
-    """Truncated principal-value integrals at t_end, one per truncation level."""
-
-    eps: tuple
-    values: tuple
-    exponent: float
-
-    def diffs(self) -> np.ndarray:
-        return np.diff(np.asarray(self.values))
-
-    def is_cauchy(self, tolerance: float) -> bool:
-        """All successive truncated values within ``tolerance`` of each other."""
-        return bool(np.all(np.abs(self.diffs()) < tolerance))
-
-    def has_monotone_drift(self, tolerance: float) -> bool:
-        """Successive differences one-signed and at least one exceeding ``tolerance``."""
-        d = self.diffs()
-        one_signed = bool(np.all(d > 0.0)) or bool(np.all(d < 0.0))
-        return one_signed and bool(np.max(np.abs(d)) >= tolerance)
-
-
-def default_eps_sequence(h: float) -> list:
-    """Dyadic truncation levels 2^-j, stopping below the spatial resolution 10*sqrt(h)."""
-    floor = 10.0 * math.sqrt(h)
-    eps = [2.0**-j for j in range(1, 64) if 2.0**-j >= floor]
-    if not eps:
-        raise ValueError(
-            f"grid too coarse for any principal-value truncation (10*sqrt(h) = {floor:.3g} > 1/2)"
-        )
-    return eps
-
-
-def pv_integral(X: Path, exponent: float, eps_sequence: Sequence[float] | None = None) -> PvReport:
+def pv_integral(X: Path, exponent: float, eps_sequence: Sequence[float]) -> np.ndarray:
     """Truncated signed-power time integrals sum h * (X_k)^exponent 1(|X_k| > eps).
 
-    Left-endpoint Lebesgue sums at t_end for each truncation level.  If the
-    sequence is omitted, dyadic levels down to the grid's spatial resolution
-    are used.  Whether the values stabilize (Cauchy) or drift one-signedly is
-    left to the report's predicates.
+    Left-endpoint Lebesgue sums at t_end, one per truncation level of the
+    positive, strictly decreasing ``eps_sequence``.  Whether the values
+    stabilize (Cauchy) or drift one-signedly is judged by
+    :func:`~hdp_lab.experiments.check_pv_truncation`.
     """
-    if eps_sequence is None:
-        eps_list = default_eps_sequence(X.grid.h)
-    else:
-        eps_list = [float(e) for e in eps_sequence]
-        if not eps_list or any(e <= 0 for e in eps_list):
-            raise ValueError("eps_sequence must be positive")
-        if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-            raise ValueError("eps_sequence must be strictly decreasing")
+    eps_list = [float(e) for e in eps_sequence]
+    if not eps_list or any(e <= 0 for e in eps_list):
+        raise ValueError("eps_sequence must be positive")
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps_sequence must be strictly decreasing")
     base = X.values[:-1]
     powered = signed_power(base, exponent)
     absx = np.abs(base)
-    values = [float(X.grid.h * np.sum(powered[absx > e])) for e in eps_list]
-    return PvReport(tuple(eps_list), tuple(values), float(exponent))
+    return np.array([X.grid.h * np.sum(powered[absx > e]) for e in eps_list])
 
 
 def abs_power_along_path(values: np.ndarray, alpha: float) -> np.ndarray:

@@ -215,8 +215,8 @@ def _sign_stage(theta, side, xa, rho, t, u):
     return side * np.where(u < p_plus, rho, -rho)
 
 
-def skew_transition_sample(theta, x_start, t, seed: SeedSpec, size=None):
-    """Exact draw(s) from the time-t skew-BM marginal started at x_start.
+def skew_transition_sample(theta, x_start, t, seed: SeedSpec, size):
+    """Exact draws, an array of shape ``size``, of skew BM at time t started at x_start.
 
     Two stages, no discretization error: |B^theta_t| is reflected BM from
     |x_start|, i.e. |N(|x_start|, t)|; conditionally on its value rho the sign
@@ -225,21 +225,18 @@ def skew_transition_sample(theta, x_start, t, seed: SeedSpec, size=None):
     mirror symmetry (theta, x) -> (-theta, -x).  The sign probability is
     evaluated only on the draws with rho*|x_start| < 33*t; on the others it
     is exactly 1.0 (see ``_NEAR``).
-
-    With ``size=None`` returns a float, otherwise an ndarray of that shape.
     """
     theta = _require_theta(theta)
     _require_positive("t", t)
     rng = seed.generator()
     a = abs(x_start)
-    n = 1 if size is None else size
     side = -1.0 if x_start < 0 else 1.0
-    rho = np.abs(a + math.sqrt(t) * rng.standard_normal(n))
-    u = rng.random(n)
+    rho = np.abs(a + math.sqrt(t) * rng.standard_normal(size))
+    u = rng.random(size)
     draws = side * rho
     near = np.flatnonzero(rho * a < _NEAR * t)  # flat indices: take/put serve any shape
     np.put(draws, near, _sign_stage(theta, side, a, rho.take(near), t, u.take(near)))
-    return float(draws[0]) if size is None else draws
+    return draws
 
 
 def skew_chain_terminals(theta, grid: TimeGrid, seed: SeedSpec, n_paths: int):

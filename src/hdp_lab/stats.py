@@ -37,7 +37,6 @@ class EstimatorResult:
 
     value: float
     std_error: float
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,6 @@ def mc_mean_ci(samples) -> EstimatorResult:
     return EstimatorResult(
         value=float(np.mean(arr)),
         std_error=float(np.std(arr, ddof=1) / math.sqrt(arr.size)),
-        n_samples=int(arr.size),
     )
 
 
@@ -109,7 +107,7 @@ def variance_with_se(samples) -> EstimatorResult:
         se = math.inf
     if not (math.isfinite(s2) and math.isfinite(se)):
         raise ValueError("sample variance or its standard error is not finite (samples too large to square?)")
-    return EstimatorResult(value=s2, std_error=se, n_samples=int(arr.size))
+    return EstimatorResult(value=s2, std_error=se)
 
 
 def ks_statistic(samples, cdf: Callable) -> float:
@@ -213,33 +211,38 @@ def exit_probability(
     return mc_mean_ci(exited_top.astype(float))
 
 
+#: Median sup-residual at or below which :func:`convergence_study` counts no rise.
+CONVERGENCE_FLOOR = 1e-12
+
+
 def convergence_study(
-    experiment, meshes: Sequence[int], floor: float = 1e-12
+    name: str, residuals: Callable[[int], np.ndarray], meshes: Sequence[int]
 ) -> VerificationReport:
     """Refinement trend study: median sup-residual per mesh must not rise.
 
-    ``experiment`` provides ``name`` and ``residuals(n_steps) -> array`` (one
-    sup-residual per path).  ``meshes`` is a strictly increasing sequence of
-    at least 3 step counts (so h is strictly decreasing).  The report counts
-    inversions -- a median strictly above both its predecessor and ``floor``
-    -- and the study passes with at most one.  The floor makes profiles that
-    sit at rounding level (including identically zero residuals) trivially
-    passing rather than letting their ties count as increases.
+    ``residuals(n_steps)`` gives one sup-residual per path at that mesh, and
+    the report is named ``name``.  ``meshes`` is a strictly increasing
+    sequence of at least 3 step counts (so h is strictly decreasing).  The
+    report counts inversions -- a median strictly above both its predecessor
+    and ``CONVERGENCE_FLOOR`` -- and the study passes with at most one.  The
+    floor makes profiles that sit at rounding level (including identically
+    zero residuals) trivially passing rather than letting their ties count
+    as increases.
     """
     mesh_list = [int(m) for m in meshes]
     if len(mesh_list) < 3:
         raise ValueError("need at least 3 meshes")
     if any(b <= a for a, b in zip(mesh_list, mesh_list[1:])):
         raise ValueError("meshes must be strictly increasing step counts")
-    if not floor >= 0.0:
-        raise ValueError(f"floor must be nonnegative, got {floor}")
     medians = []
     for n_steps in mesh_list:
-        sup_residuals = np.asarray(experiment.residuals(n_steps), dtype=float)
+        sup_residuals = np.asarray(residuals(n_steps), dtype=float)
         medians.append(float(np.median(sup_residuals)))
-    inversions = sum(1 for a, b in zip(medians, medians[1:]) if b > a and b > floor)
+    inversions = sum(
+        1 for a, b in zip(medians, medians[1:]) if b > a and b > CONVERGENCE_FLOOR
+    )
     return VerificationReport(
-        check_name=experiment.name,
+        check_name=name,
         measured=float(inversions),
         reference=0.0,
         tolerance=1.0,
@@ -248,6 +251,6 @@ def convergence_study(
             "rule": "median sup-residual decreasing in mesh, at most one inversion",
             "meshes": mesh_list,
             "medians": medians,
-            "floor": floor,
+            "floor": CONVERGENCE_FLOOR,
         },
     )

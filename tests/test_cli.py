@@ -260,6 +260,19 @@ class TestScalarCommands:
         assert capsys.readouterr().err == "error: --paths must be >= 0, got -5\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("paths", ["1", "2", "3"])
+    def test_msd_too_few_paths_for_a_variance_exits_2_naming_the_option(self, tmp_path, capsys, paths):
+        assert main(["msd", "--paths", paths, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --paths must be 0 (closed form only) or >= 4, got {paths}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("paths", ["1", "0", "-3"])
+    def test_exit_prob_too_few_paths_exits_2_naming_the_option(self, tmp_path, capsys, paths):
+        assert main(["exit-prob", "--paths", paths, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: --paths must be >= 2, got {paths}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_msd_json_with_estimate(self, tmp_path):
         rc = main(
             ["msd", "--alpha", "0", "--theta", "1", "--paths", "5000", "--seed", "9",

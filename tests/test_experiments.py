@@ -1,4 +1,8 @@
-"""The verify scheduler: check units over forked workers, reports in registry order."""
+"""The verify scheduler and the checks' pass rules.
+
+Check units run over forked workers and their reports come back in registry
+order; each check's pass rule is tested on hand-made kernel output.
+"""
 
 import itertools
 import json
@@ -7,7 +11,9 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from hdp_lab import experiments
@@ -225,3 +231,48 @@ def test_cli_import_leaves_the_pool_modules_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+class TestVerdictRules:
+    """Each check's pass rule on hand-made kernel output, the sampling stubbed out."""
+
+    @pytest.mark.parametrize(
+        "theta_unit, profile, passed",
+        [
+            (0, [1.0, 1.0, 1.0, 1.0], True),  # theta = 0: flat is Cauchy
+            (0, [1.0, 1.25, 1.5, 1.75], True),  # rising, every step below 0.5
+            (0, [1.0, 1.25, 2.0, 2.25], False),  # one step of 0.75
+            (1, [1.0, 1.0, 1.0, 1.0], False),  # theta = 0.5: flat does not drift
+            (1, [1.0, 2.0, 3.0, 4.0], True),  # one-signed, rising beyond 0.5
+            (1, [4.0, 3.0, 2.0, 1.0], True),  # one-signed, falling beyond 0.5
+            (1, [1.0, 1.25, 1.5, 1.75], False),  # one-signed, but Cauchy within 0.5
+            (1, [1.0, 2.0, 1.5, 3.0], False),  # mixed signs
+        ],
+    )
+    def test_pv_truncation(self, monkeypatch, theta_unit, profile, passed):
+        monkeypatch.setattr(experiments, "sample_brownian", lambda grid, seed: None)
+        monkeypatch.setattr(
+            experiments, "simulate_skew_pair", lambda *args: SimpleNamespace(skew_B=None)
+        )
+        monkeypatch.setattr(experiments, "pv_integral", lambda path, p, eps: np.array(profile))
+        (report,) = experiments.check_pv_truncation(theta_unit)
+        assert report.passed is passed
+        assert report.measured == np.max(np.abs(np.diff(profile)))
+        assert report.metadata["profile"] == profile
+
+    @pytest.mark.parametrize(
+        "sups, passed",
+        [
+            ([2.0, 1.0, 0.5], True),  # shrinking
+            ([2.0, 1.0, 1.0], True),  # ties at the floor after a drop
+            ([1.0, 1.0, 1.0], False),  # flat: no overall drop
+            ([1.0, 2.0, 3.0], False),  # rising
+            ([2.0, 0.5, 1.0], False),  # mixed, though the last is below the first
+        ],
+    )
+    def test_mollified_bracket_convergence(self, monkeypatch, sups, passed):
+        monkeypatch.setattr(experiments, "simulate_skew_pair", lambda *args: None)
+        monkeypatch.setattr(experiments, "bracket_convergence", lambda f, coupled, w: np.array(sups))
+        (report,) = experiments.check_mollified_bracket_convergence(1)
+        assert report.passed is passed
+        assert (report.measured, report.tolerance) == (sups[-1], sups[0])

@@ -1,7 +1,5 @@
 """Partition sums, brackets, mollifiers, truncated pv integrals, residuals."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,6 @@ from hdp_lab import (
     benchmark_solution,
     bracket_convergence,
     bracket_estimate,
-    default_eps_sequence,
     ito_sum,
     make_grid,
     mollify,
@@ -26,7 +23,6 @@ from hdp_lab import (
     simulate_skew_pair,
     stratonovich_sum,
 )
-from hdp_lab.integrals import MollifierBracketReport, PvReport
 
 
 @pytest.fixture(scope="module")
@@ -104,14 +100,6 @@ class TestMollify:
         with pytest.raises(ValueError):
             mollify(np.sign, 0.0)
 
-    def test_report_properties(self):
-        good = MollifierBracketReport((0.1, 0.01), (2.0, 1.0))
-        assert good.nonincreasing and good.strictly_shrinks
-        flat = MollifierBracketReport((0.1, 0.01), (1.0, 1.0))
-        assert flat.nonincreasing and not flat.strictly_shrinks
-        bad = MollifierBracketReport((0.1, 0.01), (1.0, 2.0))
-        assert not bad.nonincreasing
-
     def test_bracket_convergence_requires_decreasing_widths(self):
         coupled = simulate_skew_pair(0.5, 0.0, make_grid(1.0, 100), SeedSpec(62))
         with pytest.raises(ValueError, match="decreasing"):
@@ -119,39 +107,34 @@ class TestMollify:
 
     def test_bracket_convergence_on_short_walk(self):
         coupled = simulate_skew_pair(0.5, 0.0, make_grid(1.0, 2000), SeedSpec(63))
-        report = bracket_convergence(np.sign, coupled, (0.1, 0.01, 0.001))
-        assert report.nonincreasing
+        sups = bracket_convergence(np.sign, coupled, (0.1, 0.01, 0.001))
+        assert sups.shape == (3,)
+        assert np.all(np.diff(sups) <= 0.0)
 
 
 class TestPvIntegral:
     def test_inactive_truncation_matches_plain_sum(self):
         grid = make_grid(1.0, 4)
         path = Path(grid, np.array([2.0, 3.0, 4.0, 5.0, 6.0]))
-        report = pv_integral(path, -1.0, (0.5, 0.25))
+        values = pv_integral(path, -1.0, (0.5, 0.25))
         plain = grid.h * np.sum(1.0 / path.values[:-1])
-        np.testing.assert_allclose(report.values, plain)
-        assert report.is_cauchy(1e-12)
-        assert not report.has_monotone_drift(1e-12)
+        np.testing.assert_allclose(values, [plain, plain])
 
     def test_truncation_drops_small_values(self):
         grid = make_grid(1.0, 4)
         path = Path(grid, np.array([2.0, 0.1, 2.0, 0.1, 2.0]))
-        report = pv_integral(path, -1.0, (1.0, 0.01))
-        assert report.values[0] == pytest.approx(grid.h * (0.5 + 0.5))
-        assert report.values[1] == pytest.approx(grid.h * (0.5 + 10.0 + 0.5 + 10.0))
+        values = pv_integral(path, -1.0, (1.0, 0.01))
+        assert values[0] == pytest.approx(grid.h * (0.5 + 0.5))
+        assert values[1] == pytest.approx(grid.h * (0.5 + 10.0 + 0.5 + 10.0))
 
-    def test_report_diff_helpers(self):
-        report = PvReport(eps=(0.1, 0.01, 0.001), values=(1.0, 2.0, 4.0), exponent=-1.0)
-        np.testing.assert_allclose(report.diffs(), [1.0, 2.0])
-        assert report.has_monotone_drift(1.5)
-        assert not report.is_cauchy(1.5)
-
-    def test_default_eps_sequence_scales_with_grid(self):
-        eps = default_eps_sequence(1e-6)
-        assert eps[0] == 0.5
-        assert all(e >= 10.0 * math.sqrt(1e-6) for e in eps)
-        with pytest.raises(ValueError, match="coarse"):
-            default_eps_sequence(1.0)
+    @pytest.mark.parametrize(
+        "eps, message",
+        [((), "positive"), ((0.1, 0.0), "positive"), ((0.1, 0.1), "decreasing"), ((0.1, 0.2), "decreasing")],
+    )
+    def test_eps_sequence_must_be_positive_and_strictly_decreasing(self, eps, message):
+        path = Path(make_grid(1.0, 2), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match=message):
+            pv_integral(path, -1.0, eps)
 
 
 class TestAbsPowerAlongPath:

@@ -70,7 +70,7 @@ class TestSkewCoefficients:
             lambda theta: skew_density(theta, 1.0, 0.3),
             lambda theta: skew_cdf(theta, 1.0, 0.3),
             lambda theta: msd(0.5, theta, 1.0),
-            lambda theta: skew_transition_sample(theta, 0.0, 1.0, SeedSpec(1)),
+            lambda theta: skew_transition_sample(theta, 0.0, 1.0, SeedSpec(1), size=1),
             lambda theta: skew_chain_terminals(theta, make_grid(1.0, 2), SeedSpec(1), 3),
             lambda theta: exit_probability(theta, 0.1, 2, 1e-3, SeedSpec(1)),
         ],
@@ -250,10 +250,6 @@ class TestExactSamplers:
         a = skew_transition_sample(0.6, 0.4, 1.0, SeedSpec(29), size=1000)
         b = skew_transition_sample(-0.6, -0.4, 1.0, SeedSpec(29), size=1000)
         np.testing.assert_allclose(a, -b, atol=1e-12)
-
-    def test_scalar_draw(self):
-        x = skew_transition_sample(0.5, 0.0, 1.0, SeedSpec(30))
-        assert isinstance(x, float)
 
     def test_joint_sampler_marginal_and_local_time(self):
         theta, t = 0.5, 1.0

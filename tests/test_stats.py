@@ -25,7 +25,6 @@ class TestEstimators:
         est = mc_mean_ci([1.0, 2.0, 3.0, 4.0])
         assert est.value == 2.5
         assert est.std_error == pytest.approx(np.std([1, 2, 3, 4], ddof=1) / 2.0)
-        assert est.n_samples == 4
 
     def test_mc_mean_ci_needs_two(self):
         with pytest.raises(ValueError):
@@ -154,42 +153,39 @@ class TestExitLoop:
         assert got == exit_fraction_gather_scatter(theta, level, n_paths, SeedSpec(master))
 
 
-class _StubExperiment:
-    def __init__(self, name, profiles):
-        self.name = name
-        self._profiles = profiles
-
-    def residuals(self, n_steps):
-        return np.asarray(self._profiles[n_steps], dtype=float)
+def _profiles(by_mesh):
+    """A ``residuals`` callable that returns the hand-made sup-residuals of each mesh."""
+    return lambda n_steps: np.asarray(by_mesh[n_steps], dtype=float)
 
 
 class TestConvergenceStudy:
     def test_decreasing_medians_pass(self):
         profiles = {16: [4.0, 5.0], 32: [2.0, 2.5], 64: [1.0, 1.5]}
-        report = convergence_study(_StubExperiment("down", profiles), [16, 32, 64])
+        report = convergence_study("down", _profiles(profiles), [16, 32, 64])
         assert report.passed
+        assert report.check_name == "down"
         assert report.measured == 0  # inversion count
         assert report.metadata["medians"] == [4.5, 2.25, 1.25]
+        assert report.metadata["floor"] == 1e-12
 
     def test_single_inversion_tolerated_two_fail(self):
         up_once = {16: [4.0], 32: [5.0], 64: [1.0]}
-        assert convergence_study(_StubExperiment("bump", up_once), [16, 32, 64]).passed
+        assert convergence_study("bump", _profiles(up_once), [16, 32, 64]).passed
         up_twice = {16: [4.0], 32: [5.0], 64: [6.0]}
-        assert not convergence_study(_StubExperiment("up", up_twice), [16, 32, 64]).passed
+        assert not convergence_study("up", _profiles(up_twice), [16, 32, 64]).passed
 
     def test_rounding_floor_makes_exact_zero_trivially_pass(self):
         flat = {16: [0.0], 32: [0.0], 64: [0.0]}
-        report = convergence_study(_StubExperiment("zero", flat), [16, 32, 64])
+        report = convergence_study("zero", _profiles(flat), [16, 32, 64])
         assert report.passed
         jitter = {16: [1e-15], 32: [3e-16], 64: [5e-16]}
-        assert convergence_study(_StubExperiment("dust", jitter), [16, 32, 64]).passed
+        assert convergence_study("dust", _profiles(jitter), [16, 32, 64]).passed
+        above = {16: [1e-15], 32: [2e-12], 64: [3e-12]}
+        assert not convergence_study("above", _profiles(above), [16, 32, 64]).passed
 
-    def test_mesh_and_floor_validation(self):
-        stub = _StubExperiment("bad", {16: [1.0], 32: [1.0]})
+    def test_mesh_validation(self):
+        residuals = _profiles({8: [1.0], 16: [1.0], 32: [1.0]})
         with pytest.raises(ValueError, match="at least 3"):
-            convergence_study(stub, [16, 32])
-        stub3 = _StubExperiment("bad", {16: [1.0], 32: [1.0], 8: [1.0]})
+            convergence_study("bad", residuals, [16, 32])
         with pytest.raises(ValueError, match="increasing"):
-            convergence_study(stub3, [16, 32, 8])
-        with pytest.raises(ValueError, match="floor"):
-            convergence_study(stub3, [8, 16, 32], floor=-1.0)
+            convergence_study("bad", residuals, [16, 32, 8])
