@@ -126,18 +126,26 @@ def msd(alpha: float, theta: float, t: float) -> float:
     Both bracket terms carry their Gaussian-moment normalization; dropping
     the 1/pi on the second would give a negative value at (alpha, theta) =
     (0, 1), where the true answer is Var|B_1| = 1 - 2/pi.  Even in theta;
-    scales exactly like t^(1/(1-alpha)).
+    scales exactly like t^(1/(1-alpha)).  Where the power or the product
+    leaves the normal float range (alpha near 1), the product is taken in
+    logs; past the float range at the small end the variance is 0.0.
     """
     _require_alpha(alpha)
     _require_theta(theta)
     _require_positive("t", t)
     q = 1.0 / (1.0 - alpha)
     try:
+        power = (2.0 * t * (1.0 - alpha) ** 2) ** q
         second_moment = math.gamma(q + 0.5) / math.sqrt(math.pi)
         first_moment_sq = math.gamma((q + 1.0) / 2.0) ** 2 / math.pi
-        value = (2.0 * t * (1.0 - alpha) ** 2) ** q * (second_moment - theta**2 * first_moment_sq)
+        value = power * (second_moment - theta**2 * first_moment_sq)
     except OverflowError:
-        value = math.inf
+        power = value = math.inf
+    if not (sys.float_info.min <= min(power, value) and value < math.inf):
+        ratio = math.exp(2.0 * math.lgamma((q + 1.0) / 2.0) - math.lgamma(q + 0.5)) / math.sqrt(math.pi)
+        log_value = q * (math.log(2.0 * t) + 2.0 * math.log1p(-alpha)) + math.lgamma(q + 0.5)
+        log_value += math.log1p(-(theta**2) * ratio) - 0.5 * math.log(math.pi)
+        value = math.exp(log_value) if log_value <= math.log(sys.float_info.max) else math.inf
     if not math.isfinite(value):
         raise ValueError(f"msd overflows the float range at t = {t}, alpha = {alpha}")
     return value

@@ -16,10 +16,12 @@ arrays do not fit in memory, a worker process that died, or an interrupt
 ``WORKERS_PER_CPU`` per available CPU, and every command forks them the one
 way ``core._fork_map`` does, running one share itself: ``verify`` deals its
 units into shares up front, heaviest first; ``simulate`` and
-``reverse`` split their paths into contiguous ranges, write the first
-straight into the CSV and have the workers write the others to hidden part
-files beside it, appended in path order.  Each path draws from its own
-stream, so the bytes do not depend on the worker count.
+``reverse`` only yield each path's value columns to the one ensemble
+writer (``_write_ensemble``), which owns the CSV layout, the manifest keys
+they share and the path ranges: it writes the first range straight into
+the CSV and has the workers write the others to hidden part files beside
+it, appended in path order.  Each path draws from its own stream, so the
+bytes do not depend on the worker count.
 Each subcommand takes only the options its command reads (``_OPTIONS``).
 ``main`` resolves each of them once, before the command runs, as flags
 first, then an optional ``KEY=VALUE`` config file (``--config``, which may
@@ -35,6 +37,7 @@ output files are removed when a command fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -275,30 +278,39 @@ def _ensemble_workers(args, paths: int, steps: int, worker_paths: int = 1) -> in
 
 
 def _write_ensemble(
-    csv_path: str, header: list, written: list, paths: int, workers: int, write_range
+    args, written: list, subcommand: str, csv_name: str, names: list, grid, blocks,
+    worker_paths: int, fields: dict, noun: str,
 ) -> None:
-    """Write an ensemble CSV whose blocks ``write_range(fh, start, stop)`` writes for paths [start, stop).
+    """Write an ensemble CSV and its manifest: the one writer of ``simulate`` and ``reverse``.
 
-    The paths split into ``workers`` contiguous ranges: this process writes
-    the first straight into the CSV while forked workers (``_fork_map``)
-    write the others to part files beside it, which are then appended in
-    path order by a kernel-side copy and deleted.  Every path draws from its
-    own stream, so the bytes do not depend on the split.  The part files get
-    new hidden names (``.<csv name>.<random>``), so no file already there is
-    overwritten, and they are registered in ``written``, so a failed run
-    leaves none behind.
+    ``blocks(start, stop)`` yields the value columns (``names`` after the
+    grid's time column) of each path in [start, stop), in path order.  The
+    paths split into contiguous ranges, one per worker (``_ensemble_workers``
+    with ``worker_paths``): this process writes the first straight into the
+    CSV while forked workers (``_fork_map``) write the others to part files
+    beside it, which are then appended in path order by a kernel-side copy
+    and deleted.  Every path draws from its own stream, so the bytes do not
+    depend on the split.  The part files get new hidden names (``.<csv
+    name>.<random>``), so no file already there is overwritten, and they are
+    registered in ``written``, so a failed run leaves none behind.  The
+    manifest holds the keys every ensemble shares and the command's own
+    ``fields``; the line printed last counts the paths as ``noun``.
     """
+    paths, steps, header = args.paths, args.steps, ["path_id", *names]
+    workers = _ensemble_workers(args, paths, steps, worker_paths)
+    template = _block_template(grid.times(), len(names) - 1)
+    out = _outdir(args)
+    csv_path = os.path.join(out, csv_name)
     bounds = [paths * k // workers for k in range(workers + 1)]
     with _open_csv(csv_path, header, written) as fh:
-        out, name = os.path.split(csv_path)
         shares = [(None, bounds[0], bounds[1])]
         for k in range(1, workers):
-            fd, part = tempfile.mkstemp(prefix=f".{name}.", dir=out)
+            fd, part = tempfile.mkstemp(prefix=f".{csv_name}.", dir=out)
             os.close(fd)
             written.append(part)
             shares.append((part, bounds[k], bounds[k + 1]))
         fh.flush()  # the workers inherit the handle: nothing may sit in its buffer
-        _fork_map(functools.partial(_write_share, fh, write_range), shares)
+        _fork_map(functools.partial(_write_share, fh, template, blocks), shares)
         fh.flush()
         for part, _, _ in shares[1:]:
             with open(part, "rb") as src:
@@ -307,30 +319,41 @@ def _write_ensemble(
                 while sent := os.sendfile(fh.fileno(), src.fileno(), offset, 1 << 30):
                     offset += sent
             os.unlink(part)
+    manifest = {
+        "schema_version": SCHEMA_VERSION,
+        "package_version": __version__,
+        "subcommand": subcommand,
+        "steps": steps,
+        "paths": paths,
+        "master_seed": args.seed,
+        "columns": header,
+        "csv_file": csv_name,
+    }
+    _write_json(os.path.join(out, "manifest.json"), {**manifest, **fields}, written)
+    print(f"wrote {csv_path} ({paths} {noun} x {steps + 1} nodes) and its manifest")
 
 
-def _write_share(fh, write_range, share: tuple) -> None:
-    """The blocks of ``share = (part, start, stop)``: into ``fh``, or into the part file if it names one."""
+def _write_share(fh, template: tuple, blocks, share: tuple) -> None:
+    """The rows of ``share = (part, start, stop)``: into ``fh``, or into the part file if it names one."""
     part, start, stop = share
-    if part is None:
-        write_range(fh, start, stop)
-        return
-    with open(part, "w", encoding="utf-8", newline="\n") as own:
-        write_range(own, start, stop)
+    own = contextlib.nullcontext(fh) if part is None else open(part, "w", encoding="utf-8", newline="\n")
+    with own as out:
+        for path_id, columns in enumerate(blocks(start, stop), start):
+            _write_block(out, path_id, template, columns)
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
 
-def _simulate_columns(family, params, windows, grid, seed):
+def _simulate_columns(family, params, window, grid, seed):
     """Columns (B, B_theta, L, X) for one ensemble member.
 
     For families driven by plain Brownian motion the B_theta column carries
     the shifted driver (the theta = 0 construction started at the
     transformed x0) and L is 0; the reflected family carries its pathwise
     reflection triple; the skew family carries the jointly simulated walk
-    triple.
+    triple.  ``window`` is the nonmarkov family's absorption window.
     """
     alpha, theta, x0 = params.alpha, params.theta, params.x0
     shift = signed_power(x0, 1.0 - alpha) / (1.0 - alpha)
@@ -356,15 +379,8 @@ def _simulate_columns(family, params, windows, grid, seed):
     elif family == "stopped":
         solution = stopped_solution(params, brownian)
     else:
-        solution = nonmarkov_solution(params, NonMarkovParams(*windows), brownian)
-    zeros = np.zeros(grid.n_steps + 1)
-    return (brownian.values, brownian.values + shift, zeros, solution.values)
-
-
-def _simulate_range(family, params, windows, grid, master, template, fh, start, stop) -> None:
-    for index in range(start, stop):
-        columns = _simulate_columns(family, params, windows, grid, SeedSpec(master, index))
-        _write_block(fh, index, template, columns)
+        solution = nonmarkov_solution(params, window, brownian)
+    return (brownian.values, brownian.values + shift, np.zeros(grid.n_steps + 1), solution.values)
 
 
 def cmd_simulate(args, written: list) -> int:
@@ -374,39 +390,31 @@ def cmd_simulate(args, written: list) -> int:
     params = ModelParams(alpha=args.alpha, theta=args.theta, x0=args.x0)  # validates ranges
     if family == "reflected" and args.x0 < 0.0:
         raise CliError(f"reflected family needs x0 >= 0, got {args.x0}")
-    grid = make_grid(args.t_end, steps)
-    template = _block_template(grid.times(), 4)
-    out = _outdir(args)
-    csv_path = os.path.join(out, "paths.csv")
-    write_range = functools.partial(
-        _simulate_range, family, params, (args.window_a, args.window_b), grid, args.seed, template
-    )
-    _write_ensemble(
-        csv_path, ["path_id", "t", "B", "B_theta", "L", "X"], written,
-        paths, _ensemble_workers(args, paths, steps), write_range,
-    )
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
-        "subcommand": "simulate",
+    fields = {
         "family": family,
         "alpha": args.alpha,
         "theta": args.theta,
         "x0": args.x0,
         "t_end": args.t_end,
-        "steps": steps,
-        "paths": paths,
-        "master_seed": args.seed,
         "seed_scheme": "SeedSpec(master_seed, path_id)",
         "non_solution_flag": family == "skew" and not params.is_known_solution,
-        "columns": ["path_id", "t", "B", "B_theta", "L", "X"],
-        "csv_file": os.path.basename(csv_path),
     }
+    window = None
     if family == "nonmarkov":
-        manifest["window_a"] = args.window_a
-        manifest["window_b"] = args.window_b
-    _write_json(os.path.join(out, "manifest.json"), manifest, written)
-    print(f"wrote {csv_path} ({paths} paths x {steps + 1} nodes) and its manifest")
+        _require_positive("--window-a", args.window_a)
+        _require_positive("--window-b", args.window_b)
+        window = NonMarkovParams(args.window_a, args.window_b)
+        fields.update(window_a=args.window_a, window_b=args.window_b)
+    grid = make_grid(args.t_end, steps)
+
+    def blocks(start, stop):
+        for index in range(start, stop):
+            yield _simulate_columns(family, params, window, grid, SeedSpec(args.seed, index))
+
+    _write_ensemble(
+        args, written, "simulate", "paths.csv", ["t", "B", "B_theta", "L", "X"], grid, blocks, 1,
+        fields, "paths",
+    )
     return 0
 
 
@@ -570,14 +578,6 @@ def cmd_exit_prob(args, written: list) -> int:
 # reverse
 
 
-def _reverse_range(theta, terminals, grid, seeds, template, fh, start, stop) -> None:
-    for lo in range(start, stop, _BRIDGE_BATCH):
-        hi = min(lo + _BRIDGE_BATCH, stop)
-        ys, zs = reversed_bridge_ensemble(theta, terminals[lo:hi], grid, seeds[lo:hi])
-        for j in range(hi - lo):
-            _write_block(fh, lo + j, template, (ys[j], zs[j]))
-
-
 def cmd_reverse(args, written: list) -> int:
     theta, horizon, steps, paths = args.theta, args.horizon, args.steps, args.paths
     master, source = args.seed, args.terminal_from
@@ -589,6 +589,7 @@ def cmd_reverse(args, written: list) -> int:
     if source == "explicit":
         terminals = skew_transition_sample(theta, 0.0, horizon, SeedSpec(master), size=paths)
         streams = range(1, paths + 1)
+        scheme = "terminals: SeedSpec(master); bridges: SeedSpec(master, 1 + path_id)"
     else:
         terminals = np.array(
             [
@@ -597,36 +598,25 @@ def cmd_reverse(args, written: list) -> int:
             ]
         )
         streams = range(paths, 2 * paths)
-    bridge_seeds = [SeedSpec(master, stream) for stream in streams]
-    template = _block_template(grid.times(), 2)
-    out = _outdir(args)
-    csv_path = os.path.join(out, "reversed_paths.csv")
-    write_range = functools.partial(_reverse_range, theta, terminals, grid, bridge_seeds, template)
-    _write_ensemble(
-        csv_path, ["path_id", "s", "Y", "Z"], written,
-        paths, _ensemble_workers(args, paths, steps, _BRIDGE_WORKER_PATHS), write_range,
-    )
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
-        "subcommand": "reverse",
+        scheme = "forward walks: SeedSpec(master, path_id); bridges: SeedSpec(master, paths + path_id)"
+    seeds = [SeedSpec(master, stream) for stream in streams]
+
+    def blocks(start, stop):
+        for lo in range(start, stop, _BRIDGE_BATCH):
+            hi = min(lo + _BRIDGE_BATCH, stop)
+            yield from zip(*reversed_bridge_ensemble(theta, terminals[lo:hi], grid, seeds[lo:hi]))
+
+    fields = {
         "theta": theta,
         "horizon": horizon,
-        "steps": steps,
-        "paths": paths,
-        "master_seed": master,
         "terminal_from": source,
         "terminals": [float(v) for v in terminals],
-        "seed_scheme": (
-            "terminals: SeedSpec(master); bridges: SeedSpec(master, 1 + path_id)"
-            if source == "explicit"
-            else "forward walks: SeedSpec(master, path_id); bridges: SeedSpec(master, paths + path_id)"
-        ),
-        "columns": ["path_id", "s", "Y", "Z"],
-        "csv_file": os.path.basename(csv_path),
+        "seed_scheme": scheme,
     }
-    _write_json(os.path.join(out, "manifest.json"), manifest, written)
-    print(f"wrote {csv_path} ({paths} reversed paths x {steps + 1} nodes) and its manifest")
+    _write_ensemble(
+        args, written, "reverse", "reversed_paths.csv", ["s", "Y", "Z"], grid, blocks,
+        _BRIDGE_WORKER_PATHS, fields, "reversed paths",
+    )
     return 0
 
 
@@ -761,16 +751,10 @@ def main(argv=None) -> int:
         if isinstance(exc, MemoryError):
             message = f"out of memory ({message})" if message else "out of memory"
     print(f"error: {message}", file=sys.stderr)
-    _cleanup(written)
-    return 2
-
-
-def _cleanup(written: list) -> None:
     for path in written:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(path)
-        except OSError:
-            pass
+    return 2
 
 
 if __name__ == "__main__":

@@ -32,10 +32,29 @@ class TestMsd:
         assert msd(0.0, 1.0, 1.0) == pytest.approx(1.0 - 2.0 / math.pi, abs=1e-12)
         assert msd(0.5, 0.0, 1.0) == pytest.approx(0.1875, abs=1e-12)
 
-    @pytest.mark.parametrize("alpha, t", [(0.5, 1e307), (0.5, 1e308), (0.999, 1.0)])
+    @pytest.mark.parametrize("alpha, t", [(0.5, 1e307), (0.5, 1e308), (0.99, 1e10)])
     def test_overflow_rejected(self, alpha, t):
         with pytest.raises(ValueError, match="overflows"):
             msd(alpha, 0.5, t)
+
+    #: the closed form at the binary alpha, theta and t, evaluated in 60-digit
+    #: arithmetic (mpmath); at alpha = 0.99, t = 1 the power underflows to 0
+    #: and at t = 3 to a subnormal, while t = 30 stays in the normal range
+    @pytest.mark.parametrize(
+        "alpha, theta, t, exact",
+        [(0.99, 0.0, 1.0, 6.6663086700764542e-214), (0.99, 0.5, 1.0, 6.6663086700764542e-214),
+         (0.99, 0.5, 3.0, 3.4356656348179794e-166), (0.99, 0.5, 30.0, 3.4356656348172768e-66)],
+    )
+    def test_matches_high_precision_values_near_alpha_one(self, alpha, theta, t, exact):
+        assert msd(alpha, theta, t) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_subnormal_variance_to_the_last_place(self):
+        assert abs(msd(0.5, 0.3, 1e-160) - 1.81875e-321) <= 5e-324
+
+    @pytest.mark.parametrize("alpha, t", [(0.995, 1.0), (0.999, 1.0), (0.98, 1e-7), (0.5, 5e-324)])
+    def test_below_the_subnormal_range_is_zero(self, alpha, t):
+        """True values 2.0e-487, 7.7e-3134, 3.5e-442 and 4.2e-648: they underflow, not overflow."""
+        assert msd(alpha, 0.5, t) == 0.0
 
     def test_even_in_theta(self):
         for alpha in (-0.5, 0.0, 0.5):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hdp_lab
 from hdp_lab import cli, experiments
 from hdp_lab.analytics import reversed_bridge_ensemble
 from hdp_lab.cli import main
@@ -329,6 +330,20 @@ class TestNonFiniteInputs:
         assert capsys.readouterr().err == f"error: x0 must be finite, got {float(x0)}\n"
         assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
+    @pytest.mark.parametrize("flag, value", [("window-a", "-1"), ("window-b", "0"), ("window-a", "nan"),
+                                             ("window-b", "inf")])
+    def test_nonmarkov_window_exits_2_naming_the_flag_before_any_work(
+        self, tmp_path, monkeypatch, capsys, flag, value
+    ):
+        forked = []
+        monkeypatch.setattr(cli, "_fork_map", lambda work, shares: forked.append(shares))
+        argv = ["simulate", "--family", "nonmarkov", f"--{flag}={value}", "--paths", "2", "--steps", "10",
+                "--workers", "2"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: --{flag} must be positive and finite, got {float(value)}\n"
+        assert not (tmp_path / "out").exists()
+        assert forked == []
+
     @pytest.mark.parametrize("x0", ["inf", "-inf", "nan"])
     def test_joint_bl_start_exits_2_and_leaves_no_file(self, tmp_path, capsys, x0):
         points = tmp_path / "pts.csv"
@@ -624,6 +639,68 @@ class TestGoldenBytes:
         )
         assert rc == 0
         assert sha256_of(tmp_path / "reversed_paths.csv") == REVERSE_GOLDEN[(source, theta)]
+
+
+#: the whole manifest of each golden run above, recorded before the two
+#: ensemble commands shared one writer: every key, its value and the layout
+_SIMULATED = {
+    "columns": ["path_id", "t", "B", "B_theta", "L", "X"], "csv_file": "paths.csv",
+    "master_seed": 5, "paths": 3, "schema_version": 1, "steps": 40, "subcommand": "simulate",
+    "seed_scheme": "SeedSpec(master_seed, path_id)", "t_end": 1.0,
+}
+_REVERSED = {
+    "columns": ["path_id", "s", "Y", "Z"], "csv_file": "reversed_paths.csv", "horizon": 1.0,
+    "master_seed": 9, "paths": 4, "schema_version": 1, "steps": 60, "subcommand": "reverse",
+    "theta": 0.5,
+}
+MANIFEST_GOLDEN = {
+    "benchmark": {**_SIMULATED, "family": "benchmark", "alpha": 0.5, "theta": 0.3, "x0": 1.0,
+                  "non_solution_flag": False},
+    "nonmarkov": {**_SIMULATED, "family": "nonmarkov", "alpha": 0.5, "theta": 0.0, "x0": 0.2,
+                  "non_solution_flag": False, "window_a": 0.3, "window_b": 0.7},
+    "reflected": {**_SIMULATED, "family": "reflected", "alpha": 0.5, "theta": 0.0, "x0": 0.2,
+                  "non_solution_flag": False},
+    "skew": {**_SIMULATED, "family": "skew", "alpha": -0.5, "theta": 0.5, "x0": 0.4,
+             "non_solution_flag": True},
+    "stopped": {**_SIMULATED, "family": "stopped", "alpha": 0.3, "theta": 0.0, "x0": -0.5,
+                "non_solution_flag": False},
+    "explicit": {
+        **_REVERSED, "terminal_from": "explicit",
+        "terminals": [0.3278723933668753, -0.708244510697793, 0.18988660842362284, -1.4518160801817732],
+        "seed_scheme": "terminals: SeedSpec(master); bridges: SeedSpec(master, 1 + path_id)",
+    },
+    "forward-sim": {
+        **_REVERSED, "terminal_from": "forward-sim",
+        "terminals": [1.5491933384829666, -0.0, 0.0, 0.5163977794943222],
+        "seed_scheme": (
+            "forward walks: SeedSpec(master, path_id); bridges: SeedSpec(master, paths + path_id)"
+        ),
+    },
+}
+
+
+class TestManifests:
+    """Each ensemble manifest, byte for byte: keys, values (-0.0 included) and layout."""
+
+    @staticmethod
+    def assert_manifest(directory, literal):
+        expected = {**literal, "package_version": hdp_lab.__version__}
+        text = (directory / "manifest.json").read_text()
+        assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("family", sorted(SIMULATE_GOLDEN))
+    def test_simulate_manifest(self, tmp_path, family):
+        flags, _ = SIMULATE_GOLDEN[family]
+        argv = ["simulate", "--family", family, *flags, "--paths", "3", "--steps", "40", "--seed", "5"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        self.assert_manifest(tmp_path, MANIFEST_GOLDEN[family])
+
+    @pytest.mark.parametrize("source", ["explicit", "forward-sim"])
+    def test_reverse_manifest(self, tmp_path, source):
+        argv = ["reverse", "--theta", "0.5", "--terminal-from", source, "--paths", "4",
+                "--steps", "60", "--seed", "9"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        self.assert_manifest(tmp_path, MANIFEST_GOLDEN[source])
 
 
 #: sha256 of small simulate CSVs whose blocks repeat values, recorded with the
