@@ -736,6 +736,8 @@ def main(argv=None) -> int:
                 problem = f"--{name} is required" if value is None else f"unknown {name} {value!r}"
                 raise CliError(f"{problem}; choose from {', '.join(choices)}")
             setattr(args, key, value)
+        if not 0 <= getattr(args, "seed", 0) < 2**64:
+            raise CliError(f"--seed must be from 0 to 2**64 - 1, got {args.seed}")
         workers = getattr(args, "workers", None)
         limit = WORKERS_PER_CPU * len(os.sched_getaffinity(0))
         if workers is not None and not 1 <= workers <= limit:

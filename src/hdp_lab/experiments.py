@@ -612,19 +612,8 @@ SUITES: dict[str, list[Callable[[], list[VerificationReport]]]] = {
 }
 
 
-def _unit_seconds(unit: tuple[str, int, int]) -> float:
-    """Measured serial seconds of a unit, addressed as (suite, position of its check, unit index)."""
-    suite, position, index = unit
-    return SUITES[suite][position].unit_seconds[index]
-
-
-def _run_units(share: list) -> list[list[VerificationReport]]:
-    """Per-unit reports of one share of units, in the share's order."""
-    return [SUITES[suite][position](index) for suite, position, index in share]
-
-
 def _deal(units: list, workers: int) -> list[list]:
-    """The units dealt into ``workers`` shares up front by their measured seconds, lightest share first.
+    """The ``(check, index)`` units dealt into ``workers`` shares up front by their measured seconds, lightest first.
 
     Heaviest first (ties in registry order), each unit joins the share with
     the fewest seconds so far, of those the one with the fewest units, of
@@ -638,10 +627,10 @@ def _deal(units: list, workers: int) -> list[list]:
     """
     shares: list[list] = [[] for _ in range(workers)]
     loads = [0.0] * workers
-    for unit in sorted(units, key=lambda unit: -_unit_seconds(unit)):
+    for check, index in sorted(units, key=lambda unit: -unit[0].unit_seconds[unit[1]]):
         k = min(range(workers), key=lambda k: (loads[k], len(shares[k])))
-        shares[k].append(unit)
-        loads[k] += _unit_seconds(unit)
+        shares[k].append((check, index))
+        loads[k] += check.unit_seconds[index]
     return [shares[k] for k in sorted(range(workers), key=loads.__getitem__)]
 
 
@@ -665,27 +654,21 @@ def run_suite(name: str, workers: int | None = None) -> list[VerificationReport]
         raise KeyError(f"unknown suite {name!r}; known suites: {known}")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    units = [
-        (suite, position, index)
-        for suite in names
-        for position, check in enumerate(SUITES[suite])
-        for index in range(check.n_units)
-    ]
+    checks = [check for suite in names for check in SUITES[suite]]
+    units = [(check, index) for check in checks for index in range(check.n_units)]
     workers = min(workers or len(os.sched_getaffinity(0)), len(units))
-    declared = {module for suite in names for check in SUITES[suite] for module in check.imports}
+    declared = {module for check in checks for module in check.imports}
     for module in sorted(declared):
         importlib.import_module(module)
     shares = _deal(units, workers)
-    results = _fork_map(_run_units, shares)
+    results = _fork_map(lambda share: [check(index) for check, index in share], shares)
     by_unit = {
         unit: unit_reports for share, reports in zip(shares, results)
         for unit, unit_reports in zip(share, reports)
     }
-    by_check: dict[tuple, list] = {}
-    for suite, position, index in units:
-        by_check.setdefault((suite, position), []).append(by_unit[suite, position, index])
     reports = []
-    for parts in by_check.values():
+    for check in checks:
+        parts = [by_unit[check, index] for index in range(check.n_units)]
         elapsed = round(sum(part[0].metadata["elapsed_s"] for part in parts), 3)
         for part in parts:
             for report in part:

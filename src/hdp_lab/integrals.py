@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import Path, _require_positive, _require_same_grid
 from .skew import CoupledSkewPath
-from .solutions import TINY_BASE, ModelParams, signed_power
+from .solutions import ModelParams, _abs_power, signed_power
 
 __all__ = [
     "ito_sum",
@@ -159,12 +159,7 @@ def abs_power_along_path(values: np.ndarray, alpha: float) -> np.ndarray:
         right_free[:-1] = nonzero[1:]
         out[~nonzero & left_free & right_free] = 1.0
         return out
-    ax = np.abs(values)
-    out = np.zeros_like(ax)
-    mask = ax > TINY_BASE
-    with np.errstate(over="ignore"):
-        np.power(ax, alpha, where=mask, out=out)
-    return out
+    return _abs_power(np.abs(values), alpha)
 
 
 def sde_residual(params: ModelParams, X: Path, driver: Path) -> Path:

@@ -202,84 +202,69 @@ def local_time_occupation(path: Path, epsilon: float) -> Path:
 _NEAR = 33.0
 
 
-def _sign_stage(theta, side, xa, rho, t, u):
-    """side * (+rho or -rho): the sign stage of the exact skew-BM transition from side*xa.
-
-    The draw keeps its side (side = +-1, xa >= 0) with probability
-    (1 + side*theta*damp) / (1 + damp), damp = exp(-2*rho*xa/t), that is iff
-    the uniform ``u`` is below it.  Callers pass only the draws near 0
-    (``rho*xa < _NEAR*t``); on the others the result is side*rho.
-    """
-    damp = np.exp(-2.0 * rho * xa / t)
-    p_plus = (1.0 + side * theta * damp) / (1.0 + damp)
-    return side * np.where(u < p_plus, rho, -rho)
-
-
 def skew_transition_sample(theta, x_start, t, seed: SeedSpec, size):
     """Exact draws, an array of shape ``size``, of skew BM at time t started at x_start.
 
-    Two stages, no discretization error: |B^theta_t| is reflected BM from
-    |x_start|, i.e. |N(|x_start|, t)|; conditionally on its value rho the sign
-    is + with probability (1 + theta*exp(-2*rho*|x_start|/t)) /
-    (1 + exp(-2*rho*|x_start|/t)).  Starts below 0 are handled through the
-    mirror symmetry (theta, x) -> (-theta, -x).  The sign probability is
-    evaluated only on the draws with rho*|x_start| < 33*t; on the others it
-    is exactly 1.0 (see ``_NEAR``).
+    One step of the chained kernel :func:`_chain`, so no discretization
+    error.  The draws fill ``size`` in C order; a ``size`` with no elements
+    gives an empty array of that shape.
     """
     theta = _require_theta(theta)
     _require_positive("t", t)
-    rng = seed.generator()
-    a = abs(x_start)
-    side = -1.0 if x_start < 0 else 1.0
-    rho = np.abs(a + math.sqrt(t) * rng.standard_normal(size))
-    u = rng.random(size)
-    draws = side * rho
-    near = np.flatnonzero(rho * a < _NEAR * t)  # flat indices: take/put serve any shape
-    np.put(draws, near, _sign_stage(theta, side, a, rho.take(near), t, u.take(near)))
-    return draws
+    return _chain(theta, TimeGrid(t, 1), seed, int(np.prod(size)), x_start).reshape(size)
 
 
 def skew_chain_terminals(theta, grid: TimeGrid, seed: SeedSpec, n_paths: int):
-    """Terminal skew-BM values from 0 by chaining exact one-step transitions.
+    """Terminal skew-BM values from 0 by chaining exact one-step transitions (:func:`_chain`).
 
-    Runs ``n_paths`` paths through every node of ``grid`` in lockstep; each
-    step draws the next value from the same two-stage transition law as
-    :func:`skew_transition_sample` (reflected shifted-normal modulus, then a
-    sign with the damped-skewness probability), with the mirror handled per
-    path through the current sign.  The terminal law is exact at any step
-    count -- no scheme bias and no sqrt(h) value lattice, which matters for
-    distribution-level tests on the terminal.
-
-    Every step draws ``standard_normal(n_paths)``, then ``random(n_paths)``
-    or the same move of the stream (see below).  The paths carry their modulus and side (+-1) from step to step, and the
-    value side*modulus is built once, at the end.  The sign stage runs only
-    on the paths near 0, those with rho*|x| < 33*h: elsewhere the damping
-    exp(-2*rho*|x|/h) is below 2**-92, the sign probability rounds to
-    exactly 1.0 and the path keeps its side, so skipping it changes no bit
-    of the result.  Once the paths have spread out that is most of them.
-    A path whose new value is a zero, of either sign, takes side +1, as
-    ``x >= 0`` gives it.
-
-    At |theta| = 1 a path whose side s has s*theta = 1 is pinned to it: its
-    sign probability (1 + damp)/(1 + damp) is exactly 1.0 in floating point,
-    it keeps its side at every step, and it never enters the sign stage.  At
-    theta = 1 that is every path from the start; at theta = -1 every path
-    after the first step (bar exact zero landings there).  A pinned path
-    that lands on a zero keeps side -1 where ``x >= 0`` would give +1; that
-    changes no bit, since from modulus 0 theta = -1 gives -rho whichever
-    side the path carries, and the terminal -1 * 0.0 is the -0.0 the sign
-    stage gives.  A step with no path near 0 moves the stream past its
-    uniforms (:func:`~hdp_lab.core._skip_doubles`) without making them.
+    The terminal law is exact at any step count -- no scheme bias and no
+    sqrt(h) value lattice, which matters for distribution-level tests on the
+    terminal.
     """
     theta = _require_theta(theta)
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
+    return _chain(theta, grid, seed, n_paths, 0.0)
+
+
+def _chain(theta: float, grid: TimeGrid, seed: SeedSpec, n_paths: int, x_start) -> np.ndarray:
+    """The exact skew-BM transition, chained over ``grid`` in lockstep for ``n_paths`` paths from x_start.
+
+    A step has two stages (Lejay 2006): the modulus is reflected BM,
+    |N(|x|, h)|, and given its value rho the path keeps its side s = +-1
+    with probability (1 + s*theta*damp) / (1 + damp), damp =
+    exp(-2*rho*|x|/h), that is iff its uniform is below it.  The paths start
+    at modulus |x_start| on side -1 if ``x_start < 0``, else +1 (so -0.0
+    starts on +).  Zero paths give an empty array.
+
+    Every step draws ``standard_normal(n_paths)``, then ``random(n_paths)``
+    or the same move of the stream (see below).  The paths carry their
+    modulus and side (+-1) from step to step, and the value side*modulus is
+    built once, at the end.  The sign stage runs only on the paths near 0,
+    those with rho*|x| < 33*h: elsewhere the damping exp(-2*rho*|x|/h) is
+    below 2**-92, the sign probability rounds to exactly 1.0 and the path
+    keeps its side, so skipping it changes no bit of the result.  Once the
+    paths have spread out that is most of them.  A path whose new value is
+    a zero, of either sign, takes side +1, as ``x >= 0`` gives it.
+
+    At |theta| = 1 a path whose side s has s*theta = 1 is pinned to it: its
+    sign probability (1 + damp)/(1 + damp) is exactly 1.0 in floating point,
+    it keeps its side at every step, and it never enters the sign stage.  At
+    theta = 1 that is every path from a start >= 0; at theta = -1 every path
+    from a start < 0, and from 0 every path after the first step (bar exact
+    zero landings there).  A pinned path that lands on a zero keeps side -1
+    where ``x >= 0`` would give +1; that changes no bit, since from modulus
+    0 theta = -1 gives -rho whichever side the path carries, and the
+    terminal -1 * 0.0 is the -0.0 the sign stage gives.  A step with no
+    path near 0 moves the stream past its uniforms
+    (:func:`~hdp_lab.core._skip_doubles`) without making them.
+    """
     rng = seed.generator()
     h = grid.h
     root_h = math.sqrt(h)
     near_bound = _NEAR * h
-    side = np.ones(n_paths)
-    xa = np.zeros(n_paths)
+    side = np.full(n_paths, -1.0 if x_start < 0 else 1.0)
+    xa = np.full(n_paths, abs(x_start), dtype=np.float64)
     # the paths not pinned to their side; None while |theta| < 1 pins none
     free = None if abs(theta) < 1.0 else np.flatnonzero(side != theta)
     for _ in range(grid.n_steps):
@@ -293,7 +278,9 @@ def skew_chain_terminals(theta, grid: TimeGrid, seed: SeedSpec, n_paths: int):
             near = free[rho.take(free) * xa.take(free) < near_bound]
         if near.size:
             u = rng.random(n_paths)
-            x_near = _sign_stage(theta, side.take(near), xa.take(near), rho.take(near), h, u.take(near))
+            s, a, r = side.take(near), xa.take(near), rho.take(near)
+            damp = np.exp(-2.0 * r * a / h)
+            x_near = s * np.where(u.take(near) < (1.0 + s * theta * damp) / (1.0 + damp), r, -r)
             side.put(near, (x_near >= 0.0) * 2.0 - 1.0)
             if free is not None:
                 free = free[side.take(free) != theta]

@@ -95,13 +95,17 @@ def signed_power(x, gamma: float):
     Scalars in, float out; arrays in, array out.
     """
     arr = np.asarray(x, dtype=np.float64)
-    ax = np.abs(arr)
-    mask = ax > TINY_BASE
-    out = np.zeros_like(ax)
-    with np.errstate(over="ignore", divide="ignore"):
-        np.power(ax, gamma, where=mask, out=out)
+    out = _abs_power(np.abs(arr), gamma)
     out *= np.sign(arr)
     return float(out) if arr.ndim == 0 else out
+
+
+def _abs_power(ax: np.ndarray, gamma: float) -> np.ndarray:
+    """ax**gamma for ax >= 0, with 0 wherever ax <= TINY_BASE, for every gamma."""
+    out = np.zeros_like(ax)
+    with np.errstate(over="ignore", divide="ignore"):
+        np.power(ax, gamma, where=ax > TINY_BASE, out=out)
+    return out
 
 
 def _linear_argument(params: ModelParams, B: Path) -> np.ndarray:

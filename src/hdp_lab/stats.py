@@ -93,10 +93,18 @@ def mc_mean_ci(samples) -> EstimatorResult:
 
 
 def variance_with_se(samples) -> EstimatorResult:
-    """Sample variance with its large-n standard error sqrt((m4 - s^4)/n)."""
+    """Sample variance with its large-n standard error sqrt((m4 - s^4)/n).
+
+    A sample whose largest |x| is below 0.5 is first scaled by a power of
+    two that puts that largest |x| in [0.5, 1), so its fourth moments do not
+    underflow, and both figures are scaled back.  The scaling rounds nothing
+    unless a figure ends below the normal float range.
+    """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size < 4:
         raise ValueError("variance_with_se needs a 1-d collection of at least 4 samples")
+    exponent = min(math.frexp(float(np.max(np.abs(arr))))[1], 0)
+    arr = np.ldexp(arr, -exponent)
     with np.errstate(over="ignore", invalid="ignore"):
         s2 = float(np.var(arr, ddof=1))
         centered = arr - np.mean(arr)
@@ -107,7 +115,7 @@ def variance_with_se(samples) -> EstimatorResult:
         se = math.inf
     if not (math.isfinite(s2) and math.isfinite(se)):
         raise ValueError("sample variance or its standard error is not finite (samples too large to square?)")
-    return EstimatorResult(value=s2, std_error=se)
+    return EstimatorResult(value=math.ldexp(s2, 2 * exponent), std_error=math.ldexp(se, 2 * exponent))
 
 
 def ks_statistic(samples, cdf: Callable) -> float:

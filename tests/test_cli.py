@@ -460,6 +460,38 @@ class TestConfiguration:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    @pytest.mark.parametrize(
+        "command, seed",
+        [
+            (["simulate", "--family", "skew", "--paths", "4", "--steps", "10", "--workers", "2"], "-1"),
+            (["reverse", "--paths", "4", "--steps", "10", "--workers", "2"], str(2**64)),
+            (["exit-prob", "--paths", "10"], "-1"),
+            (["msd", "--paths", "10"], str(2**64)),
+            (["msd", "--paths", "0"], "-1"),  # draws nothing, but the seed is checked all the same
+        ],
+    )
+    def test_seed_outside_64_bits_exits_2_naming_the_flag_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, seed, source
+    ):
+        forked = []
+        monkeypatch.setattr(cli, "_fork_map", lambda work, shares: forked.append(shares))
+        argv = [*command, "--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv.append(f"--seed={seed}")
+        elif source == "config":
+            (tmp_path / "run.cfg").write_text(f"seed={seed}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        else:
+            monkeypatch.setenv("HDP_LAB_SEED", seed)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --seed must be from 0 to 2**64 - 1, got {seed}\n"
+        assert not (tmp_path / "out").exists()
+        assert forked == []
+
+    def test_largest_seed_accepted(self, tmp_path):
+        assert main(["msd", "--paths", "4", "--seed", str(2**64 - 1), "--out", str(tmp_path)]) == 0
+
     def test_other_subcommands_keys_are_accepted_and_left_unread(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("family=bogus\nsuite=bogus\nsteps=x\nworkers=100000\npaths=5\nseed=4\n")

@@ -115,33 +115,29 @@ def test_units_are_dealt_heaviest_first_into_the_lightest_share(monkeypatch):
     # b1 (7 s) comes first; the rest, heaviest first and ties in registry order,
     # all join the share that stays the lighter, though it holds more units;
     # the lighter share comes first, for this process to run
-    assert dealt == [
-        [("heat", 1, 0), ("heat", 1, 2), ("heat", 0, 0), ("heat", 0, 1)],
-        [("heat", 1, 1)],
-    ]
+    assert dealt == [[(heavy, 0), (heavy, 2), (light, 0), (light, 1)], [(heavy, 1)]]
     assert names == ["a0", "a1", "b0", "b1", "b2"]
 
 
-def test_each_unit_joins_the_lightest_share_ties_the_one_with_fewer_units(monkeypatch):
+def test_each_unit_joins_the_lightest_share_ties_the_one_with_fewer_units():
     weighted = _check(*[(0.0, f"u{i}") for i in range(4)], seconds=(1.0, 3.0, 2.0, 2.0))(_sleepy)
     equal = _check(*[(0.0, f"e{i}") for i in range(6)])(_sleepy)
-    monkeypatch.setitem(SUITES, "heat", [weighted, equal])
-    u = [("heat", 0, i) for i in range(4)]
+    u = [(weighted, i) for i in range(4)]
     # u1 (3 s) | u2 (2 s); u3 joins the 2 s share, then u0 the 3 s one: 4 s each,
     # and equal loads keep their order
     assert experiments._deal(u, 2) == [[u[1], u[0]], [u[2], u[3]]]
     assert experiments._deal(u[1:], 2) == [[u[1]], [u[2], u[3]]]
-    e = [("heat", 1, i) for i in range(6)]
+    e = [(equal, i) for i in range(6)]
     assert experiments._deal(e, 2) == [[e[0], e[2], e[4]], [e[1], e[3], e[5]]]
     assert experiments._deal(e, 4) == [[e[0], e[4]], [e[1], e[5]], [e[2]], [e[3]]]
 
 
 def test_the_registry_pairs_chain_rule_units_and_splits_msd_evenly():
-    chain = [("chain-rule", 0, i) for i in range(3)]  # theta = 0, 0.5, 1
+    chain = [(SUITES["chain-rule"][0], i) for i in range(3)]  # theta = 0, 0.5, 1
     assert experiments._deal(chain, 2) == [[chain[1]], [chain[0], chain[2]]]
-    pv = [("pv", 0, i) for i in range(2)]  # theta = 0 (4.1 s) runs here, 0.5 (4.6 s) in a worker
+    pv = [(SUITES["pv"][0], i) for i in range(2)]  # theta = 0 (4.1 s) runs here, 0.5 (4.6 s) in a worker
     assert experiments._deal(pv, 2) == [[pv[0]], [pv[1]]]
-    msd = [("msd", 0, i) for i in range(6)]
+    msd = [(SUITES["msd"][0], i) for i in range(6)]
     assert [len(share) for share in experiments._deal(msd, 2)] == [3, 3]
 
 

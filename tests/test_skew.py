@@ -24,7 +24,7 @@ from hdp_lab import (
     skew_density,
     skew_transition_sample,
 )
-from hdp_lab.core import Path
+from hdp_lab.core import Path, TimeGrid
 from hdp_lab.stats import exit_probability, ks_test
 from test_core import _full_state
 
@@ -396,6 +396,17 @@ class TestChainKernel:
         got = skew_transition_sample(theta, x_start, t, SeedSpec(master), size=size)
         want = transition_sample_all_paths(theta, x_start, t, SeedSpec(master), size)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("theta", [-1.0, -0.3, 0.0, 0.5, 1.0])
+    def test_transition_sample_is_one_chain_step(self, theta):
+        got = skew_transition_sample(theta, 0.0, 0.7, SeedSpec(36), size=500)
+        want = skew_chain_terminals(theta, TimeGrid(0.7, 1), SeedSpec(36), 500)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("size, shape", [(0, (0,)), ((3, 0), (3, 0))])
+    def test_transition_sample_of_no_draws_is_empty(self, size, shape):
+        got = skew_transition_sample(0.5, 0.2, 1.0, SeedSpec(37), size=size)
+        assert (got.shape, got.dtype) == (shape, np.float64)
 
     def test_transition_sample_keeps_the_requested_shape(self):
         got = skew_transition_sample(0.6, -0.4, 0.1, SeedSpec(35), size=(3, 50))

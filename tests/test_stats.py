@@ -47,6 +47,14 @@ class TestEstimators:
         assert abs(est.value - 1.0) < 3.0 * est.std_error
         assert est.std_error == pytest.approx(np.sqrt(2.0 / draws.size), rel=0.1)
 
+    def test_variance_with_se_survives_tiny_samples(self):
+        # the fourth moments of draws near 2**-500 underflow unless scaled first
+        draws = SeedSpec(82).generator().standard_normal(1000)
+        est, tiny = variance_with_se(draws), variance_with_se(np.ldexp(draws, -500))
+        assert tiny.std_error > 0.0
+        assert tiny.value == math.ldexp(est.value, -1000)
+        assert tiny.std_error == math.ldexp(est.std_error, -1000)
+
 
 class TestReports:
     def test_within_tolerance_pass_and_fail(self):
