@@ -105,7 +105,7 @@ def joint_density_YB(theta, t, y, z):
     z_arr = np.asarray(z, dtype=float)
     beta = coeffs.beta(y_arr)
     m = 2.0 * y_arr * np.square(beta) - z_arr
-    support = (coeffs.r(y_arr) - z_arr) / theta > 0.0
+    support = coeffs.in_wedge(y_arr, z_arr)
     gauss = np.exp(-np.square(m) / (2.0 * theta**2 * t))
     dens = (
         2.0
@@ -184,43 +184,43 @@ _CHARGE_BOUND = 32.0
 
 
 @np.errstate(over="ignore")  # a local time that overflows is reported below, not warned of
-def _reversed_bridge_core(theta, b0, grid, rng, capture_step):
-    """Bridge-to-zero reversal for theta >= 0, vectorized over paths.
+def _reversed_bridge_core(theta, b0, grid, rng, keep):
+    """Bridge-to-zero reversal for theta >= 0, vectorized over paths, kept at the nodes ``keep``.
 
     The modulus runs the exact Gaussian bridge recursion from |b0| down to 0
     over the grid; each step draws the exact local time spent at 0 given the
     step endpoints (an atom at 0 plus a shifted-Gaussian tail), and every
     step that charges local time re-draws the excursion sign with the skew
-    split.  With ``capture_step`` None returns the recorded (skew,
-    local-time) node arrays, else the captured slice plus total local time.
-    A horizon so long that the local time overflows raises ValueError.
+    split.  ``keep`` is an increasing sequence of node indices.  Returns the
+    skew values and the local time at those nodes, each of shape
+    (len(keep), paths), and each path's total local time.  A horizon so long
+    that the local time overflows raises ValueError.
 
     Every step draws a normal, a tail uniform and a sign uniform per path.
     The tail, the sign refresh and the local-time update are evaluated only
     on the paths with g*g_new <= 32*h (see ``_CHARGE_BOUND``); elsewhere the
     step charges exactly 0.0, so the result is bit for bit that of
-    evaluating them on every path.  In capture mode the sign is not read
-    after the capture step, so a shared generator skips the sign uniforms
-    of the later steps instead of making them.
+    evaluating them on every path.  A sign is read only up to the last kept
+    node, and at theta = 1 every refresh gives +1; so the steps after that
+    node, and every step at theta = 1, skip the sign uniforms: a shared
+    generator moves past them, per-path streams draw them.
     """
     n = grid.n_steps
     h = grid.h
     horizon = grid.t_end
     m = b0.size
     normal, uniform, skip = _bridge_draws(rng, m)
-    record = capture_step is None
     charge_bound = _CHARGE_BOUND * h
     g = b0.copy()
     sign = np.where(b0 >= 0.0, 1.0, -1.0)
     beta_plus = (1.0 + theta) / 2.0
+    sign_steps = keep[-1] if theta < 1.0 else 0
     ell = np.zeros(m)
-    if record:
-        skew_nodes = np.empty((n + 1, m))
-        ell_nodes = np.empty((n + 1, m))
+    slot = {node: i for i, node in enumerate(keep)}
+    skew_nodes = np.empty((len(keep), m))
+    ell_nodes = np.zeros((len(keep), m))
+    if keep[0] == 0:
         skew_nodes[0] = b0
-        ell_nodes[0] = 0.0
-    cap_skew = b0.copy() if capture_step == 0 else None
-    cap_ell = np.zeros(m) if capture_step == 0 else None
     for k in range(n):
         rem = horizon - k * h
         # the final step has rem = h up to rounding; pin the ratio so the
@@ -237,23 +237,19 @@ def _reversed_bridge_core(theta, b0, grid, rng, capture_step):
         charged = step_ell > 0.0
         hit = near[charged]
         ell[hit] += step_ell[charged]
-        if record or k < capture_step:
+        if k < sign_steps:
             sign[hit] = np.where(uniform().take(hit) < beta_plus, 1.0, -1.0)
         else:
             skip()
         g = g_new
-        if record:
-            np.abs(g, out=skew_nodes[k + 1])
-            skew_nodes[k + 1] *= sign
-            ell_nodes[k + 1] = ell
-        if capture_step == k + 1:
-            cap_skew = sign * np.abs(g)
-            cap_ell = ell.copy()
+        if k + 1 in slot:
+            i = slot[k + 1]
+            np.abs(g, out=skew_nodes[i])
+            skew_nodes[i] *= sign
+            ell_nodes[i] = ell
     if not np.all(np.isfinite(ell)):  # 2h*log(1 - u) or a squared step past the float range
         raise ValueError(f"horizon {horizon} is too long for the bridge: its local time overflows")
-    if record:
-        return skew_nodes, ell_nodes
-    return cap_skew, cap_ell, ell
+    return skew_nodes, ell_nodes, ell
 
 
 def reversed_pair_bridge(
@@ -290,7 +286,9 @@ def reversed_bridge_ensemble(
     row j holding path j's (Y-bar, B-bar) at every node.  Otherwise returns
     ``(y, z, local_time_total)``: the values at node ``capture_step`` and
     each path's total boundary local time (whose law is that of the forward
-    local time at t_end -- handy for cross-checks).
+    local time at t_end -- handy for cross-checks).  Both run one bridge
+    loop, which keeps every node or the captured one, so a capture equals
+    that node of the recorded run bit for bit.
     """
     coeffs = SkewCoefficients(theta)
     terminal_skew = np.asarray(terminal_skew, dtype=float)
@@ -300,27 +298,27 @@ def reversed_bridge_ensemble(
         raise ValueError("terminal_skew must be finite")
     if capture_step is not None and not 0 <= int(capture_step) <= grid.n_steps:
         raise ValueError(f"capture_step must lie in [0, {grid.n_steps}], got {capture_step}")
-    flip = theta < 0.0
-    th = -theta if flip else theta
-    b0 = -terminal_skew if flip else terminal_skew
+    sgn = -1.0 if theta < 0.0 else 1.0  # theta < 0 runs the mirrored system
+    th, b0 = sgn * theta, sgn * terminal_skew
     if th == 1.0 and np.any(b0 < 0.0):
         raise ValueError("|theta| = 1 keeps the skew value on one half-line; terminal is unreachable")
     rng = seed.generator() if isinstance(seed, SeedSpec) else [spec.generator() for spec in seed]
     if isinstance(rng, list) and len(rng) != b0.size:
         raise ValueError(f"got {len(rng)} seeds for {b0.size} paths")
-    sgn = -1.0 if flip else 1.0
+    keep = range(grid.n_steps + 1) if capture_step is None else [int(capture_step)]
+    skew, ell, ell_total = _reversed_bridge_core(th, b0, grid, rng, keep)
+    # in place, and Y in row blocks of at most 2**12 values: no full-size temporaries
+    np.subtract(ell_total, ell, out=ell)
+    ell *= th
+    np.subtract(skew, ell, out=ell)
+    ell *= sgn
+    skew *= sgn
+    rows = max(1, 2**12 // b0.size)
+    for i in range(0, len(keep), rows):
+        skew[i : i + rows] = coeffs.s(skew[i : i + rows])
     if capture_step is None:
-        skew, ell = _reversed_bridge_core(th, b0.copy(), grid, rng, None)
-        # path by path and in place: no full-size temporaries
-        for j in range(b0.size):
-            ell[:, j] = sgn * (skew[:, j] - th * (ell[-1, j] - ell[:, j]))
-            skew[:, j] = coeffs.s(sgn * skew[:, j])
         return skew.T, ell.T
-    cap_skew, cap_ell, ell_total = _reversed_bridge_core(
-        th, b0.copy(), grid, rng, int(capture_step)
-    )
-    driver = cap_skew - th * (ell_total - cap_ell)
-    return coeffs.s(sgn * cap_skew), sgn * driver, ell_total
+    return skew[0], ell[0], ell_total
 
 
 def heat_check_density(theta: float, u: float, y: float, z: float, fd_step: float) -> float:
@@ -340,7 +338,7 @@ def heat_check_density(theta: float, u: float, y: float, z: float, fd_step: floa
     coeffs = SkewCoefficients(theta)
     for yy in (y - fd_step, y, y + fd_step):
         for zz in (z - fd_step, z, z + fd_step):
-            if (coeffs.r(yy) - zz) / theta <= 0.0:
+            if not coeffs.in_wedge(yy, zz):
                 raise ValueError(
                     f"stencil point ({yy}, {zz}) leaves the support wedge"
                 )

@@ -42,6 +42,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import warnings
@@ -131,7 +132,16 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise :class:`CliError`, so ``main`` reports them."""
+    """An argument parser whose usage errors raise :class:`CliError`, so ``main`` reports them.
+
+    A token that starts with a minus and then a digit, a point and a digit,
+    ``inf`` or ``nan`` is a value, not a flag: argparse alone counts only
+    ``-1`` and ``-0.5`` as negative numbers, so ``--theta -1e-3`` failed.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise CliError(message)
@@ -505,8 +515,7 @@ def cmd_density(args, written: list) -> int:
             else:
                 value, status = joint_density_BL(theta, t, x0, row[0], row[1]), "ok"
         else:
-            inside = (coeffs.r(row[0]) - row[1]) / theta > 0.0
-            if inside:
+            if coeffs.in_wedge(row[0], row[1]):
                 value, status = joint_density_YB(theta, t, row[0], row[1]), "ok"
             else:
                 value, status = 0.0, "outside-support"
@@ -745,7 +754,9 @@ def main(argv=None) -> int:
                 f"--workers must be from 1 to {limit} ({WORKERS_PER_CPU} per available CPU), "
                 f"got {workers}"
             )
-        return args.func(args, written)
+        with warnings.catch_warnings():  # a library warning is one line, not a source excerpt
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args, written)
     except KeyboardInterrupt:
         message = "interrupted"
     except (CliError, ValueError, OSError, MemoryError) as exc:

@@ -98,6 +98,10 @@ class SkewCoefficients:
         """x * sigma(x): maps the skew process to the oscillating one."""
         return x * self.sigma(x)
 
+    def in_wedge(self, y, z):
+        """Whether (y, z) lies in the support wedge (r(y) - z)/theta > 0 of the (Y, B) joint law."""
+        return (self.r(y) - z) / self.theta > 0.0
+
 
 @dataclass(frozen=True)
 class CoupledSkewPath:

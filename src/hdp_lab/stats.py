@@ -193,7 +193,7 @@ def exit_probability(
         )
     if h > eps * eps / 100.0:
         warnings.warn(
-            f"h = {h} is coarse relative to eps^2 = {eps * eps}; "
+            f"h = {h} is coarse relative to eps^2 = {eps * eps:.6g}; "
             "the walk exits in only ~eps^2/h steps",
             stacklevel=2,
         )

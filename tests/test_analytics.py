@@ -199,6 +199,17 @@ class TestLockstepBridge:
             np.testing.assert_array_equal(y[j], y_j.values)
             np.testing.assert_array_equal(z[j], z_j.values)
 
+    @settings(max_examples=60)
+    @given(case=bridge_ensembles(), per_path=st.booleans(), data=st.data())
+    def test_capture_equals_the_recorded_node(self, case, per_path, data):
+        theta, terminals, grid, seeds = case
+        seed = seeds if per_path else seeds[0]
+        k = data.draw(st.integers(0, grid.n_steps), label="capture_step")
+        y, z = reversed_bridge_ensemble(theta, terminals, grid, seed)
+        y_k, z_k, _ = reversed_bridge_ensemble(theta, terminals, grid, seed, k)
+        np.testing.assert_array_equal(y_k.view(np.int64), y[:, k].view(np.int64))
+        np.testing.assert_array_equal(z_k.view(np.int64), z[:, k].view(np.int64))
+
     def test_seed_count_must_match_paths(self):
         with pytest.raises(ValueError, match="1 seeds for 2 paths"):
             reversed_bridge_ensemble(0.5, [0.1, 0.2], make_grid(1.0, 10), [SeedSpec(1)])
@@ -290,10 +301,13 @@ class TestBridgeCore:
             return SeedSpec(master).generator()
 
         got_rng, want_rng = streams(), streams()
-        got = _reversed_bridge_core(theta, b0.copy(), grid, got_rng, capture)
+        keep = range(grid.n_steps + 1) if capture is None else [capture]
+        skew, ell, total = _reversed_bridge_core(theta, b0.copy(), grid, got_rng, keep)
         want = bridge_core_every_path(theta, b0.copy(), grid, want_rng, capture)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
+        if capture is None:  # the reference records every node; the total is the last one
+            want = (*want, want[1][-1])
+        got = skew.reshape(want[0].shape), ell.reshape(want[1].shape), total
+        for a, b in zip(got, want, strict=True):
             np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
         for a, b in zip(got_rng, want_rng) if per_path else [(got_rng, want_rng)]:
             assert stream_position(a) == stream_position(b)

@@ -256,6 +256,17 @@ class TestScalarCommands:
         record = dict(zip(header, rows[0]))
         assert float(record["msd"]) == pytest.approx(0.1875)
 
+    @pytest.mark.parametrize("theta", ["-1e-3", "-5E-1", "-.25", "-1"])
+    def test_negative_value_in_any_float_notation_is_a_value(self, tmp_path, capsys, theta):
+        assert main(["msd", "--theta", theta, "--out", str(tmp_path)]) == 0
+        assert f"theta={float(theta):g}," in capsys.readouterr().out
+
+    def test_exit_prob_warning_is_one_stderr_line(self, tmp_path, capsys):
+        argv = ["exit-prob", "--step-h", "1e-3", "--paths", "50", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: h = 0.001 is coarse"), lines
+
     def test_msd_negative_paths_exits_2(self, tmp_path, capsys):
         assert main(["msd", "--paths", "-5", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: --paths must be >= 0, got -5\n"
@@ -322,10 +333,12 @@ class TestNonFiniteInputs:
         assert "error:" in capsys.readouterr().err
         assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
-    @pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("x0", ["nan", "inf", "-inf", "-NaN"])
+    @pytest.mark.parametrize("joined", [True, False], ids=["joined", "own-token"])
     @pytest.mark.parametrize("family", cli.FAMILIES)
-    def test_simulate_start_exits_2_naming_x0(self, tmp_path, capsys, family, x0):
-        argv = ["simulate", "--family", family, f"--x0={x0}", "--paths", "2", "--steps", "10"]
+    def test_simulate_start_exits_2_naming_x0(self, tmp_path, capsys, family, joined, x0):
+        start = [f"--x0={x0}"] if joined else ["--x0", x0]
+        argv = ["simulate", "--family", family, *start, "--paths", "2", "--steps", "10"]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: x0 must be finite, got {float(x0)}\n"
         assert not [p for p in tmp_path.rglob("*") if p.is_file()]

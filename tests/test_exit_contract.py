@@ -160,6 +160,7 @@ def test_every_run_keeps_the_exit_contract(run):
         if code == 2:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+            assert "expected one argument" not in lines[0]  # every drawn value is a value, "-1e-05" too
             assert not caught, [str(w.message) for w in caught]  # the CLI prints a warning to stderr
             assert set(written) <= inputs
             return
