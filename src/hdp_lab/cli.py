@@ -51,7 +51,7 @@ import numpy as np
 
 from . import __version__
 from .analytics import joint_density_BL, joint_density_YB, msd, reversed_bridge_ensemble
-from .core import SeedSpec, _fork_map, _require_positive, make_grid, sample_brownian
+from .core import SeedSpec, TimeGrid, _fork_map, _require_positive, sample_brownian
 from .experiments import SUITES, run_suite
 from .skew import (
     SkewCoefficients,
@@ -151,22 +151,30 @@ def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def _parse_config_file(path: str) -> dict:
+def _content_lines(path: str, what: str):
+    """``("<path>:<line>", line)`` for each stripped line of ``path`` that is neither blank nor a ``#`` comment.
+
+    A missing file raises :class:`CliError` "<what> not found: <path>".
+    """
     if not os.path.isfile(path):
-        raise CliError(f"config file not found: {path}")
-    values = {}
+        raise CliError(f"{what} not found: {path}")
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _OPTIONS:
-                raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
+            if line and not line.startswith("#"):
+                yield f"{path}:{lineno}", line
+
+
+def _parse_config_file(path: str) -> dict:
+    values = {}
+    for where, line in _content_lines(path, "config file"):
+        if "=" not in line:
+            raise CliError(f"{where}: expected KEY=VALUE, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in _OPTIONS:
+            raise CliError(f"{where}: unknown config key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -415,7 +423,7 @@ def cmd_simulate(args, written: list) -> int:
         _require_positive("--window-b", args.window_b)
         window = NonMarkovParams(args.window_a, args.window_b)
         fields.update(window_a=args.window_a, window_b=args.window_b)
-    grid = make_grid(args.t_end, steps)
+    grid = TimeGrid(args.t_end, steps)
 
     def blocks(start, stop):
         for index in range(start, stop):
@@ -454,31 +462,24 @@ def cmd_verify(args, written: list) -> int:
 
 
 def _read_points(path: str, n_columns: int, labels: tuple) -> list:
-    if not os.path.isfile(path):
-        raise CliError(f"points file not found: {path}")
     rows = []
     first = True
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = [cell.strip() for cell in line.split(",")]
-            if first:  # the first content line may be a header
-                first = False
-                try:
-                    [float(cell) for cell in cells]
-                except ValueError:
-                    continue
-            if len(cells) != n_columns:
-                raise CliError(
-                    f"{path}:{lineno}: expected {n_columns} columns ({', '.join(labels)}), "
-                    f"got {len(cells)}"
-                )
+    for where, line in _content_lines(path, "points file"):
+        cells = [cell.strip() for cell in line.split(",")]
+        if first:  # the first content line may be a header
+            first = False
             try:
-                rows.append([float(cell) for cell in cells])
-            except ValueError as exc:
-                raise CliError(f"{path}:{lineno}: non-numeric cell in {line!r}") from exc
+                [float(cell) for cell in cells]
+            except ValueError:
+                continue
+        if len(cells) != n_columns:
+            raise CliError(
+                f"{where}: expected {n_columns} columns ({', '.join(labels)}), got {len(cells)}"
+            )
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError as exc:
+            raise CliError(f"{where}: non-numeric cell in {line!r}") from exc
     if not rows:
         raise CliError(f"points file {path} has no data rows")
     return rows
@@ -590,11 +591,9 @@ def cmd_exit_prob(args, written: list) -> int:
 def cmd_reverse(args, written: list) -> int:
     theta, horizon, steps, paths = args.theta, args.horizon, args.steps, args.paths
     master, source = args.seed, args.terminal_from
-    if args.x0 != 0.0:
-        raise CliError("reverse is defined for the x0 = 0 start; rerun with --x0 0")
     if paths < 1:
         raise CliError(f"--paths must be >= 1, got {paths}")
-    grid = make_grid(horizon, steps)
+    grid = TimeGrid(horizon, steps)
     if source == "explicit":
         terminals = skew_transition_sample(theta, 0.0, horizon, SeedSpec(master), size=paths)
         streams = range(1, paths + 1)
@@ -728,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
             "conditioned bridge.  Defined for the x0 = 0 start."
         ),
     )
-    _add_options(p, cmd_reverse, "theta horizon terminal-from x0 steps paths seed out workers")
+    _add_options(p, cmd_reverse, "theta horizon terminal-from steps paths seed out workers")
     return parser
 
 

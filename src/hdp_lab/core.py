@@ -24,7 +24,6 @@ __all__ = [
     "TimeGrid",
     "Path",
     "SeedSpec",
-    "make_grid",
     "sample_brownian",
 ]
 
@@ -248,11 +247,6 @@ def _run_share(pipe_fd: int, work: Callable, share) -> None:
             message = pickle.dumps((False, ChildProcessError(f"{type(exc).__name__}: {exc}")))
     with open(pipe_fd, "wb") as pipe:
         pipe.write(message)
-
-
-def make_grid(t_end: float, n_steps: int) -> TimeGrid:
-    """Validated constructor for a uniform grid on [0, t_end]."""
-    return TimeGrid(t_end, n_steps)
 
 
 def sample_brownian(grid: TimeGrid, seed: SeedSpec) -> Path:

@@ -39,7 +39,7 @@ from .analytics import (
     msd,
     reversed_bridge_ensemble,
 )
-from .core import Path, SeedSpec, _fork_map, make_grid, sample_brownian
+from .core import Path, SeedSpec, TimeGrid, _fork_map, sample_brownian
 from .integrals import bracket_convergence, bracket_estimate, pv_integral, sde_residual
 from .skew import (
     SkewCoefficients,
@@ -99,7 +99,8 @@ def _check(*points: tuple, seconds: tuple = (), imports: tuple = ()):
 @_check((-0.6, 1101), (0.0, 1102), (0.6, 1103), (1.0, 1104), seconds=(0.5, 0.4, 0.5, 0.4))
 def check_exit_probabilities(theta: float, master: int) -> list[VerificationReport]:
     """Exit through +eps from a symmetric band matches the skew split (1+theta)/2."""
-    est = exit_probability(theta, eps=0.1, n_paths=20_000, h=1e-5, seed=SeedSpec(master))
+    eps, h, n_paths = 0.1, 1e-5, 20_000
+    est = exit_probability(theta, eps=eps, n_paths=n_paths, h=h, seed=SeedSpec(master))
     return [
         report_within_tolerance(
             f"exit probability, theta={theta}",
@@ -108,9 +109,9 @@ def check_exit_probabilities(theta: float, master: int) -> list[VerificationRepo
             3.0 * est.std_error,
             rule="upper-exit fraction within 3 SE of (1+theta)/2",
             theta=theta,
-            eps=0.1,
-            h=1e-5,
-            n_paths=20_000,
+            eps=eps,
+            h=h,
+            n_paths=n_paths,
             master_seed=master,
         )
     ]
@@ -159,14 +160,14 @@ def check_benchmark_residual_refinement() -> list[VerificationReport]:
     """
     master, n_paths, n_fine = 3007, 50, 2**16
     meshes = [2**e for e in range(10, 17)]
-    fine = [sample_brownian(make_grid(1.0, n_fine), SeedSpec(master, i)) for i in range(n_paths)]
+    fine = [sample_brownian(TimeGrid(1.0, n_fine), SeedSpec(master, i)) for i in range(n_paths)]
     reports = []
     for alpha in (-0.5, 0.5):
         params = ModelParams(alpha=alpha, theta=0.0, x0=1.0)
 
         def residuals(n_steps: int, params=params) -> np.ndarray:
             stride = n_fine // n_steps
-            grid = make_grid(1.0, n_steps)
+            grid = TimeGrid(1.0, n_steps)
             sups = []
             for path in fine:
                 sub = Path(grid, path.values[::stride].copy())
@@ -192,7 +193,7 @@ def check_skew_residual_refinement() -> list[VerificationReport]:
 
     def residuals(n_steps: int) -> np.ndarray:
         master = 3101 + int(math.log2(n_steps)) - 10
-        grid = make_grid(1.0, n_steps)
+        grid = TimeGrid(1.0, n_steps)
         sups = []
         for i in range(n_paths):
             coupled = simulate_skew_pair(0.5, 0.0, grid, SeedSpec(master, i))
@@ -223,7 +224,7 @@ def check_alpha_zero_defect_slope(theta: float) -> list[VerificationReport]:
     estimate must have slope theta (the non-solution defect is theta * L,
     not zero and not theta/2 * L).
     """
-    grid = make_grid(1.0, 100_000)
+    grid = TimeGrid(1.0, 100_000)
     eps = 2.0 * math.sqrt(grid.h)
     params = ModelParams(alpha=0.0, theta=theta, x0=0.0)
     lhat, resid = [], []
@@ -251,7 +252,7 @@ def check_alpha_zero_defect_slope(theta: float) -> list[VerificationReport]:
                 "rule": "terminal residual vs occupation local time: slope within 0.05 of theta and R^2 > 0.98",
                 "r_squared": float(r2),
                 "intercept": float(intercept),
-                "h": 1e-5,
+                "h": grid.h,
                 "n_paths": 100,
                 "occupation_eps": eps,
                 "master_seed": 31,
@@ -263,7 +264,7 @@ def check_alpha_zero_defect_slope(theta: float) -> list[VerificationReport]:
 @_check(seconds=(0.8,))
 def check_sign_bracket_local_time() -> list[VerificationReport]:
     """The bracket of sign(B) against B estimates twice the local time."""
-    grid = make_grid(1.0, 100_000)
+    grid = TimeGrid(1.0, 100_000)
     eps = 2.0 * math.sqrt(grid.h)
     master = 202
     deviations = []
@@ -282,7 +283,7 @@ def check_sign_bracket_local_time() -> list[VerificationReport]:
             passed=mean_dev < 0.10,
             metadata={
                 "rule": "mean over paths of |bracket(sign B, B) - 2 L| / (2 L) below 0.10",
-                "h": 1e-5,
+                "h": grid.h,
                 "n_paths": 100,
                 "occupation_eps": eps,
                 "master_seed": master,
@@ -294,7 +295,7 @@ def check_sign_bracket_local_time() -> list[VerificationReport]:
 @_check(("|x|^0.5", lambda x: np.sqrt(np.abs(x))), ("sign", np.sign))
 def check_mollified_bracket_convergence(label: str, f: Callable) -> list[VerificationReport]:
     """Mollified brackets approach the rough bracket as the width shrinks."""
-    grid = make_grid(1.0, 10_000)
+    grid = TimeGrid(1.0, 10_000)
     widths = (0.1, 0.01, 0.001)
     master = 3200
     first, last, all_pass = [], [], True
@@ -315,7 +316,7 @@ def check_mollified_bracket_convergence(label: str, f: Callable) -> list[Verific
                 "rule": "per-path sup-differences nonincreasing in width with a strict overall drop",
                 "widths": list(widths),
                 "theta": 0.5,
-                "h": 1e-4,
+                "h": grid.h,
                 "n_paths": 10,
                 "master_seed": master,
                 "first_width_sups": [float(v) for v in first],
@@ -492,7 +493,7 @@ def check_time_reversal(theta: float) -> list[VerificationReport]:
 
     horizon, n_steps, n_paths = 1.0, 10_000, 10_000
     capture = n_steps // 2
-    grid = make_grid(horizon, n_steps)
+    grid = TimeGrid(horizon, n_steps)
     coeffs = SkewCoefficients(theta)
     terminals = skew_transition_sample(theta, 0.0, horizon, SeedSpec(7201), size=n_paths)
     y_mid, z_mid, _ = reversed_bridge_ensemble(theta, terminals, grid, SeedSpec(7202), capture)
@@ -512,7 +513,7 @@ def check_time_reversal(theta: float) -> list[VerificationReport]:
                 "p_driver": float(p_z),
                 "theta": theta,
                 "horizon": horizon,
-                "h": horizon / n_steps,
+                "h": grid.h,
                 "n_paths": n_paths,
                 "terminal_seed": 7201,
                 "bridge_seed": 7202,
@@ -525,7 +526,7 @@ def check_time_reversal(theta: float) -> list[VerificationReport]:
 def check_pv_truncation(theta: float, master: int) -> list[VerificationReport]:
     """Principal-value truncations stabilize on Brownian paths and drift on skew ones."""
     eps_sequence = (1e-1, 1e-2, 1e-3, 1e-4)
-    grid = make_grid(1.0, 10**6)
+    grid = TimeGrid(1.0, 10**6)
     n_paths, tolerance = 64, 0.5
     profile = np.zeros(len(eps_sequence))
     for i in range(n_paths):
@@ -556,7 +557,7 @@ def check_pv_truncation(theta: float, master: int) -> list[VerificationReport]:
                 "profile": [float(v) for v in profile],
                 "eps_sequence": list(eps_sequence),
                 "exponent": -1.0,
-                "h": 1e-6,
+                "h": grid.h,
                 "n_paths": n_paths,
                 "master_seed": master,
             },
@@ -570,7 +571,7 @@ def check_power_transform_law(theta: float, master: int) -> list[VerificationRep
     from scipy.special import ndtr
 
     alpha = 0.5
-    grid = make_grid(1.0, 10_000)
+    grid = TimeGrid(1.0, 10_000)
     n_paths = 10_000
     terminals = skew_chain_terminals(theta, grid, SeedSpec(master), n_paths)
     solution = signed_power((1.0 - alpha) * terminals, 1.0 / (1.0 - alpha))
@@ -587,7 +588,7 @@ def check_power_transform_law(theta: float, master: int) -> list[VerificationRep
                 "rule": "KS of |X_1|^(1-alpha)/(1-alpha) against the reflected-BM cdf, p > 0.01",
                 "alpha": alpha,
                 "theta": theta,
-                "h": 1e-4,
+                "h": grid.h,
                 "n_paths": n_paths,
                 "master_seed": master,
             },

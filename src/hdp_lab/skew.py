@@ -37,7 +37,6 @@ __all__ = [
     "skew_chain_terminals",
     "skew_density",
     "skew_cdf",
-    "sample_skew_with_local_time",
 ]
 
 
@@ -314,25 +313,3 @@ def skew_cdf(theta, t, b):
     z = ndtr(b / math.sqrt(t))
     out = np.where(b <= 0, (1.0 - theta) * z, (1.0 - theta) / 2.0 + (1.0 + theta) * (z - 0.5))
     return float(out) if out.ndim == 0 else out
-
-
-def sample_skew_with_local_time(theta, t, seed: SeedSpec, size=None):
-    """Exact joint draw(s) of (B^theta_t, L_t) for the skew BM started at 0.
-
-    The sum M = |B^theta_t| + L_t is Maxwell distributed (sqrt(t) times a
-    chi with 3 degrees of freedom), and conditionally on M the skew value is
-    uniform on (0, M) with probability beta_plus and uniform on (-M, 0)
-    otherwise; L = M - |B^theta|.  Returns a pair (b, l).
-    """
-    coeffs = SkewCoefficients(theta)
-    _require_positive("t", t)
-    rng = seed.generator()
-    n = 1 if size is None else size
-    m = math.sqrt(t) * np.sqrt(np.sum(np.square(rng.standard_normal((3, n))), axis=0))
-    u = rng.random(n)
-    sign = np.where(rng.random(n) < coeffs.beta_plus, 1.0, -1.0)
-    b = sign * u * m
-    l = m - np.abs(b)
-    if size is None:
-        return float(b[0]), float(l[0])
-    return b, l

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,14 +57,7 @@ class VerificationReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "measured": self.measured,
-            "reference": self.reference,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "metadata": self.metadata,
-        }
+        return {("pass" if key == "passed" else key): value for key, value in asdict(self).items()}
 
 
 def report_within_tolerance(

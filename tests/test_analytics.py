@@ -11,10 +11,10 @@ from scipy.special import ndtr
 from hdp_lab import (
     SeedSpec,
     SkewCoefficients,
+    TimeGrid,
     heat_check_density,
     joint_density_BL,
     joint_density_YB,
-    make_grid,
     msd,
     reversed_bridge_ensemble,
     reversed_pair_bridge,
@@ -132,7 +132,7 @@ class TestJointDensities:
 class TestBridgeReversal:
     def test_endpoints_are_exact(self):
         co = SkewCoefficients(0.5)
-        grid = make_grid(1.0, 500)
+        grid = TimeGrid(1.0, 500)
         y, z = reversed_pair_bridge(0.5, 0.8, grid, SeedSpec(73))
         assert y.values[0] == pytest.approx(co.s(0.8), abs=1e-14)
         assert y.terminal == 0.0
@@ -140,11 +140,11 @@ class TestBridgeReversal:
 
     def test_driver_start_carries_accumulated_local_time(self):
         # z_0 = b - theta * total local time <= b, strictly when L_T > 0
-        y, z = reversed_pair_bridge(0.5, 0.1, make_grid(1.0, 2000), SeedSpec(74))
+        y, z = reversed_pair_bridge(0.5, 0.1, TimeGrid(1.0, 2000), SeedSpec(74))
         assert z.values[0] < 0.1
 
     def test_mirror(self):
-        grid = make_grid(1.0, 300)
+        grid = TimeGrid(1.0, 300)
         y_p, z_p = reversed_pair_bridge(0.5, 0.6, grid, SeedSpec(75))
         y_m, z_m = reversed_pair_bridge(-0.5, -0.6, grid, SeedSpec(75))
         np.testing.assert_allclose(y_p.values, -y_m.values, atol=1e-12)
@@ -152,26 +152,34 @@ class TestBridgeReversal:
 
     def test_full_skew_wrong_side_rejected(self):
         with pytest.raises(ValueError, match="unreachable"):
-            reversed_pair_bridge(1.0, -0.5, make_grid(1.0, 100), SeedSpec(76))
+            reversed_pair_bridge(1.0, -0.5, TimeGrid(1.0, 100), SeedSpec(76))
 
     @pytest.mark.parametrize("capture_step", [None, 1])
     def test_local_time_past_the_float_range_rejected(self, capture_step):
         # 2h*log(1 - u) overflows at h = 1e308: the Z column was inf - inf = nan
-        grid = make_grid(1e308, 1)
+        grid = TimeGrid(1e308, 1)
         with pytest.raises(ValueError, match="too long for the bridge"):
             reversed_bridge_ensemble(0.5, [1e154], grid, SeedSpec(76), capture_step)
 
     def test_ensemble_mid_capture_law(self):
         theta, horizon = 0.5, 1.0
         terminals = skew_transition_sample(theta, 0.0, horizon, SeedSpec(77), size=4000)
-        grid = make_grid(horizon, 2000)
+        grid = TimeGrid(horizon, 2000)
         y, z, ell = reversed_bridge_ensemble(theta, terminals, grid, SeedSpec(78), 1000)
         assert y.shape == z.shape == ell.shape == (4000,)
         _, p = ks_test(z, lambda v: ndtr(np.asarray(v) / math.sqrt(0.5)))
         assert p > 0.01
-        # total boundary local time over [0, T] is half-normal: mean sqrt(2T/pi)
-        target = math.sqrt(2.0 * horizon / math.pi)
-        assert abs(np.mean(ell) - target) < 4.0 * np.std(ell) / math.sqrt(ell.size)
+        root = math.sqrt(horizon)
+        # the total local time over [0, T] is half-normal, |N(0, T)|, for every theta
+        _, p = ks_test(ell, lambda v: 2.0 * ndtr(np.asarray(v) / root) - 1.0)
+        assert p > 0.01
+        # |B^theta_T| + L_T is sqrt(T) times a chi with 3 degrees of freedom
+        def chi3_cdf(m):
+            x = np.asarray(m) / root
+            return 2.0 * ndtr(x) - 1.0 - 2.0 * x * np.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
+
+        _, p = ks_test(np.abs(terminals) + ell, chi3_cdf)
+        assert p > 0.01
 
 
 @st.composite
@@ -181,7 +189,7 @@ def bridge_ensembles(draw):
     terminals = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
     if abs(theta) == 1.0:  # full skew keeps the skew value on theta's half-line
         terminals = [math.copysign(abs(b), theta) for b in terminals]
-    grid = make_grid(draw(st.floats(0.1, 2.0)), draw(st.integers(1, 40)))
+    grid = TimeGrid(draw(st.floats(0.1, 2.0)), draw(st.integers(1, 40)))
     master = draw(st.integers(0, 2**64 - 1))
     first = draw(st.integers(0, 10_000))
     return theta, terminals, grid, [SeedSpec(master, first + j) for j in range(len(terminals))]
@@ -212,7 +220,7 @@ class TestLockstepBridge:
 
     def test_seed_count_must_match_paths(self):
         with pytest.raises(ValueError, match="1 seeds for 2 paths"):
-            reversed_bridge_ensemble(0.5, [0.1, 0.2], make_grid(1.0, 10), [SeedSpec(1)])
+            reversed_bridge_ensemble(0.5, [0.1, 0.2], TimeGrid(1.0, 10), [SeedSpec(1)])
 
 
 def bridge_draws_every_path(rng, m):
@@ -279,7 +287,7 @@ def bridge_cores(draw):
     b0 = -terminals if theta < 0.0 else terminals
     if abs(theta) == 1.0:  # full skew keeps the skew value on theta's half-line
         b0 = np.abs(b0)
-    grid = make_grid(draw(st.floats(0.01, 2.0)), draw(st.integers(1, 60)))
+    grid = TimeGrid(draw(st.floats(0.01, 2.0)), draw(st.integers(1, 60)))
     capture = draw(st.none() | st.sampled_from([0, grid.n_steps]) | st.integers(0, grid.n_steps))
     master = draw(st.integers(0, 2**64 - 1))
     per_path = draw(st.booleans())

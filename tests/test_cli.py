@@ -424,10 +424,11 @@ class TestReverse:
         assert rc == 0
         assert read_manifest(tmp_path)["terminal_from"] == "forward-sim"
 
-    def test_nonzero_start_exits_2(self, tmp_path, capsys):
+    def test_start_option_is_an_unrecognized_argument(self, tmp_path, capsys):
+        """The bridge starts at 0, so ``reverse`` takes no ``--x0``: one ``error:`` line, exit 2."""
         rc = main(["reverse", "--x0", "0.5", "--out", str(tmp_path)])
         assert rc == 2
-        assert "x0" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unrecognized arguments: --x0 0.5\n"
 
 
 class TestConfiguration:
@@ -521,7 +522,7 @@ SUBCOMMAND_OPTIONS = {
     "density": "which points theta t-end x0 out config",
     "msd": "alpha theta t-end paths seed out format config",
     "exit-prob": "theta eps step-h paths seed out format config",
-    "reverse": "theta horizon terminal-from x0 steps paths seed out workers config",
+    "reverse": "theta horizon terminal-from steps paths seed out workers config",
 }
 
 

@@ -9,19 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdp_lab import Path, SeedSpec, TimeGrid, make_grid, sample_brownian
+from hdp_lab import Path, SeedSpec, TimeGrid, sample_brownian
 from hdp_lab.core import _fork_map, _skip_doubles
 
 
 class TestTimeGrid:
     def test_basic_fields(self):
-        grid = make_grid(2.0, 8)
+        grid = TimeGrid(2.0, 8)
         assert grid.t_end == 2.0
         assert grid.n_steps == 8
         assert grid.h == 0.25
 
     def test_times_cover_both_endpoints(self):
-        times = make_grid(1.0, 4).times()
+        times = TimeGrid(1.0, 4).times()
         np.testing.assert_allclose(times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     @pytest.mark.parametrize("t_end", [0.0, -1.0, float("inf"), float("nan")])
@@ -43,14 +43,14 @@ class TestTimeGrid:
 class TestPath:
     def test_shape_must_match_grid(self):
         with pytest.raises(ValueError, match="shape"):
-            Path(make_grid(1.0, 4), np.zeros(4))
+            Path(TimeGrid(1.0, 4), np.zeros(4))
 
     def test_values_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            Path(make_grid(1.0, 2), np.array([0.0, np.nan, 1.0]))
+            Path(TimeGrid(1.0, 2), np.array([0.0, np.nan, 1.0]))
 
     def test_increments_and_terminal(self):
-        path = Path(make_grid(1.0, 3), np.array([0.0, 1.0, -0.5, 2.0]))
+        path = Path(TimeGrid(1.0, 3), np.array([0.0, 1.0, -0.5, 2.0]))
         np.testing.assert_allclose(path.increments(), [1.0, -1.5, 2.5])
         assert path.terminal == 2.0
 
@@ -85,14 +85,14 @@ class TestSeedSpec:
 
 class TestSampleBrownian:
     def test_starts_at_zero_and_is_deterministic(self):
-        grid = make_grid(1.0, 100)
+        grid = TimeGrid(1.0, 100)
         a = sample_brownian(grid, SeedSpec(5))
         b = sample_brownian(grid, SeedSpec(5))
         assert a.values[0] == 0.0
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_increment_moments(self):
-        grid = make_grid(1.0, 20_000)
+        grid = TimeGrid(1.0, 20_000)
         inc = sample_brownian(grid, SeedSpec(6)).increments()
         assert abs(np.mean(inc)) < 4.0 * np.sqrt(grid.h / inc.size)
         assert abs(np.var(inc) - grid.h) < 4.0 * grid.h * np.sqrt(2.0 / inc.size)

@@ -1,4 +1,4 @@
-"""Public names: every ``__all__`` entry exists and is used, and the package re-exports only listed names."""
+"""Public names: every ``__all__`` entry exists and is used, and the package re-exports exactly the listed names."""
 
 import ast
 import importlib
@@ -35,12 +35,19 @@ def test_package_exports_are_listed_in_their_modules():
     assert not unlisted
 
 
+def test_package_exports_exactly_the_modules_all():
+    exported = {
+        name for name, obj in vars(hdp_lab).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert exported == {name for module in MODULES for name in getattr(module, "__all__", ())}
+
+
 #: ``__all__`` names that nothing in the package uses, each kept for its reason
 UNUSED_BUT_KEPT = {
     "ito_sum": "the Stratonovich = (forward + backward)/2 identity property tests",
     "backward_sum": "the bracket = backward - forward identity property tests",
     "reversed_pair_bridge": "goes with the benchmark self-check that still counts its spans",
-    "sample_skew_with_local_time": "kept to become the reversal check's local-time cross-check",
 }
 
 

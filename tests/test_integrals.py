@@ -9,13 +9,13 @@ from hdp_lab import (
     ModelParams,
     Path,
     SeedSpec,
+    TimeGrid,
     abs_power_along_path,
     backward_sum,
     benchmark_solution,
     bracket_convergence,
     bracket_estimate,
     ito_sum,
-    make_grid,
     mollify,
     pv_integral,
     sample_brownian,
@@ -27,7 +27,7 @@ from hdp_lab import (
 
 @pytest.fixture(scope="module")
 def brownian():
-    return sample_brownian(make_grid(1.0, 4096), SeedSpec(61))
+    return sample_brownian(TimeGrid(1.0, 4096), SeedSpec(61))
 
 
 #: integrands f(X) from smooth to rough, applied node-wise to a Brownian path
@@ -42,7 +42,7 @@ INTEGRANDS = {
 @st.composite
 def integrand_driver_pairs(draw):
     """(f(X), driver) on one grid of at most 500 steps, from two seeded Brownian paths."""
-    grid = make_grid(draw(st.floats(0.01, 2.0)), draw(st.integers(1, 500)))
+    grid = TimeGrid(draw(st.floats(0.01, 2.0)), draw(st.integers(1, 500)))
     master = draw(st.integers(0, 2**64 - 1))
     x = sample_brownian(grid, SeedSpec(master, 0))
     f = INTEGRANDS[draw(st.sampled_from(sorted(INTEGRANDS)))]
@@ -76,7 +76,7 @@ class TestPartitionSums:
         np.testing.assert_allclose(sym, 0.5 * (fwd + bwd), atol=1e-12)
 
     def test_literal_small_case(self):
-        grid = make_grid(2.0, 2)
+        grid = TimeGrid(2.0, 2)
         f = Path(grid, np.array([1.0, 3.0, 2.0]))
         y = Path(grid, np.array([0.0, 1.0, 3.0]))
         assert ito_sum(f, y).terminal == 1.0 + 3.0 * 2.0
@@ -84,8 +84,8 @@ class TestPartitionSums:
         assert bracket_estimate(f, y).terminal == (3 - 1) * 1 + (2 - 3) * 2
 
     def test_grid_mismatch_rejected(self):
-        a = Path(make_grid(1.0, 2), np.zeros(3))
-        b = Path(make_grid(1.0, 3), np.zeros(4))
+        a = Path(TimeGrid(1.0, 2), np.zeros(3))
+        b = Path(TimeGrid(1.0, 3), np.zeros(4))
         with pytest.raises(ValueError, match="grids"):
             ito_sum(a, b)
 
@@ -101,12 +101,12 @@ class TestMollify:
             mollify(np.sign, 0.0)
 
     def test_bracket_convergence_requires_decreasing_widths(self):
-        coupled = simulate_skew_pair(0.5, 0.0, make_grid(1.0, 100), SeedSpec(62))
+        coupled = simulate_skew_pair(0.5, 0.0, TimeGrid(1.0, 100), SeedSpec(62))
         with pytest.raises(ValueError, match="decreasing"):
             bracket_convergence(np.sign, coupled, (0.01, 0.1))
 
     def test_bracket_convergence_on_short_walk(self):
-        coupled = simulate_skew_pair(0.5, 0.0, make_grid(1.0, 2000), SeedSpec(63))
+        coupled = simulate_skew_pair(0.5, 0.0, TimeGrid(1.0, 2000), SeedSpec(63))
         sups = bracket_convergence(np.sign, coupled, (0.1, 0.01, 0.001))
         assert sups.shape == (3,)
         assert np.all(np.diff(sups) <= 0.0)
@@ -114,14 +114,14 @@ class TestMollify:
 
 class TestPvIntegral:
     def test_inactive_truncation_matches_plain_sum(self):
-        grid = make_grid(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         path = Path(grid, np.array([2.0, 3.0, 4.0, 5.0, 6.0]))
         values = pv_integral(path, -1.0, (0.5, 0.25))
         plain = grid.h * np.sum(1.0 / path.values[:-1])
         np.testing.assert_allclose(values, [plain, plain])
 
     def test_truncation_drops_small_values(self):
-        grid = make_grid(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         path = Path(grid, np.array([2.0, 0.1, 2.0, 0.1, 2.0]))
         values = pv_integral(path, -1.0, (1.0, 0.01))
         assert values[0] == pytest.approx(grid.h * (0.5 + 0.5))
@@ -132,7 +132,7 @@ class TestPvIntegral:
         [((), "positive"), ((0.1, 0.0), "positive"), ((0.1, 0.1), "decreasing"), ((0.1, 0.2), "decreasing")],
     )
     def test_eps_sequence_must_be_positive_and_strictly_decreasing(self, eps, message):
-        path = Path(make_grid(1.0, 2), np.array([1.0, 2.0, 3.0]))
+        path = Path(TimeGrid(1.0, 2), np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError, match=message):
             pv_integral(path, -1.0, eps)
 
@@ -154,7 +154,7 @@ class TestResiduals:
         # at alpha = 1/2 the symmetric sum of |X|^(1/2) dB telescopes exactly,
         # so the residual is pure rounding as long as the argument stays positive
         params = ModelParams(alpha=0.5, x0=1.0)
-        grid = make_grid(1.0, 2048)
+        grid = TimeGrid(1.0, 2048)
         b = sample_brownian(grid, SeedSpec(64))
         x = benchmark_solution(params, b)
         assert np.min(x.values) > 0.0
@@ -162,7 +162,7 @@ class TestResiduals:
         assert np.max(np.abs(res.values)) < 1e-10
 
     def test_misspecified_alpha_leaves_large_residual(self):
-        grid = make_grid(1.0, 2048)
+        grid = TimeGrid(1.0, 2048)
         b = sample_brownian(grid, SeedSpec(64))
         x = benchmark_solution(ModelParams(alpha=0.5, x0=1.0), b)
         res = sde_residual(ModelParams(alpha=-0.5, x0=1.0), x, b)

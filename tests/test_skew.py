@@ -15,9 +15,7 @@ from hdp_lab import (
     SeedSpec,
     SkewCoefficients,
     local_time_occupation,
-    make_grid,
     msd,
-    sample_skew_with_local_time,
     simulate_skew_pair,
     skew_cdf,
     skew_chain_terminals,
@@ -52,7 +50,7 @@ def reflection_cdf(theta, start, t, b):
 
 #: skewness values with the full-skew endpoints drawn explicitly
 THETAS = st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0)
-GRIDS = st.builds(make_grid, st.floats(0.01, 2.0), st.integers(1, 500))
+GRIDS = st.builds(TimeGrid, st.floats(0.01, 2.0), st.integers(1, 500))
 SEEDS = st.integers(0, 2**64 - 1)
 
 
@@ -71,7 +69,7 @@ class TestSkewCoefficients:
             lambda theta: skew_cdf(theta, 1.0, 0.3),
             lambda theta: msd(0.5, theta, 1.0),
             lambda theta: skew_transition_sample(theta, 0.0, 1.0, SeedSpec(1), size=1),
-            lambda theta: skew_chain_terminals(theta, make_grid(1.0, 2), SeedSpec(1), 3),
+            lambda theta: skew_chain_terminals(theta, TimeGrid(1.0, 2), SeedSpec(1), 3),
             lambda theta: exit_probability(theta, 0.1, 2, 1e-3, SeedSpec(1)),
         ],
     )
@@ -107,7 +105,7 @@ class TestSkewCoefficients:
 
 class TestSimulateSkewPair:
     def test_walk_lives_on_lattice(self):
-        grid = make_grid(1.0, 500)
+        grid = TimeGrid(1.0, 500)
         coupled = simulate_skew_pair(0.5, 0.0, grid, SeedSpec(21))
         root_h = math.sqrt(grid.h)
         lattice = coupled.skew_B.values / root_h
@@ -127,16 +125,16 @@ class TestSimulateSkewPair:
     @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan, 1e300])
     def test_start_off_the_int64_lattice_rejected(self, x0):
         with pytest.raises(ValueError, match="lattice"):
-            simulate_skew_pair(0.5, x0, make_grid(1.0, 10), SeedSpec(1))
+            simulate_skew_pair(0.5, x0, TimeGrid(1.0, 10), SeedSpec(1))
 
     def test_start_snaps_to_lattice(self):
-        grid = make_grid(1.0, 400)
+        grid = TimeGrid(1.0, 400)
         coupled = simulate_skew_pair(0.3, 0.26, grid, SeedSpec(22))
         assert abs(coupled.x0 - 0.26) <= 0.5 * math.sqrt(grid.h)
         assert coupled.skew_B.values[0] == coupled.x0
 
     def test_local_time_counts_arrivals(self):
-        grid = make_grid(1.0, 2000)
+        grid = TimeGrid(1.0, 2000)
         coupled = simulate_skew_pair(0.0, 0.0, grid, SeedSpec(23))
         ell = coupled.local_time_L.values
         assert ell[0] == 0.0
@@ -146,7 +144,7 @@ class TestSimulateSkewPair:
         np.testing.assert_allclose(ell[1:][arrivals], expected, atol=1e-12)
 
     def test_theta_one_is_driver_minus_running_minimum(self):
-        grid = make_grid(1.0, 3000)
+        grid = TimeGrid(1.0, 3000)
         coupled = simulate_skew_pair(1.0, 0.0, grid, SeedSpec(24))
         b = coupled.driver_B.values
         np.testing.assert_allclose(
@@ -154,7 +152,7 @@ class TestSimulateSkewPair:
         )
 
     def test_theta_minus_one_is_driver_minus_running_maximum(self):
-        grid = make_grid(1.0, 3000)
+        grid = TimeGrid(1.0, 3000)
         coupled = simulate_skew_pair(-1.0, 0.0, grid, SeedSpec(24))
         b = coupled.driver_B.values
         np.testing.assert_allclose(
@@ -180,7 +178,7 @@ class TestSimulateSkewPair:
     def test_peak_memory_is_four_node_arrays(self, theta):
         # the three returned (n + 1)-node arrays and one temporary: the walk's
         # steps, lattice and excursion index are dropped once used
-        grid = make_grid(1.0, 10**6)
+        grid = TimeGrid(1.0, 10**6)
         tracemalloc.start()
         try:
             simulate_skew_pair(theta, 0.0, grid, SeedSpec(3402))
@@ -193,18 +191,18 @@ class TestSimulateSkewPair:
 class TestLocalTimeOccupation:
     def test_literal_band_count(self):
         # left-endpoint values 0, .5, 2, -.5, 1 with eps = 1: weights 1, 1, 0, 1, 0.5
-        grid = make_grid(5.0, 5)
+        grid = TimeGrid(5.0, 5)
         path = Path(grid, np.array([0.0, 0.5, 2.0, -0.5, 1.0, 3.0]))
         est = local_time_occupation(path, 1.0)
         np.testing.assert_allclose(est.values, [0.0, 0.5, 1.0, 1.0, 1.5, 1.75])
 
     def test_epsilon_validation(self):
-        path = Path(make_grid(1.0, 1), np.zeros(2))
+        path = Path(TimeGrid(1.0, 1), np.zeros(2))
         with pytest.raises(ValueError):
             local_time_occupation(path, 0.0)
 
     def test_tracks_walk_local_time(self):
-        grid = make_grid(1.0, 50_000)
+        grid = TimeGrid(1.0, 50_000)
         coupled = simulate_skew_pair(0.0, 0.0, grid, SeedSpec(26))
         est = local_time_occupation(coupled.skew_B, 2.0 * math.sqrt(grid.h)).terminal
         exact = coupled.local_time_L.terminal
@@ -251,28 +249,18 @@ class TestExactSamplers:
         b = skew_transition_sample(-0.6, -0.4, 1.0, SeedSpec(29), size=1000)
         np.testing.assert_allclose(a, -b, atol=1e-12)
 
-    def test_joint_sampler_marginal_and_local_time(self):
-        theta, t = 0.5, 1.0
-        b, ell = sample_skew_with_local_time(theta, t, SeedSpec(31), size=20_000)
-        _, p = ks_test(b, lambda u: skew_cdf(theta, t, u))
-        assert p > 0.01
-        assert np.all(ell > 0.0)
-        # L_t has the half-normal law regardless of theta: mean sqrt(2t/pi)
-        target = math.sqrt(2.0 * t / math.pi)
-        assert abs(np.mean(ell) - target) < 4.0 * np.std(ell) / math.sqrt(ell.size)
-
     def test_chain_terminals_match_marginal(self):
         theta = 0.5
-        draws = skew_chain_terminals(theta, make_grid(1.0, 200), SeedSpec(32), 20_000)
+        draws = skew_chain_terminals(theta, TimeGrid(1.0, 200), SeedSpec(32), 20_000)
         _, p = ks_test(draws, lambda u: skew_cdf(theta, 1.0, u))
         assert p > 0.01
 
     def test_chain_terminals_validation(self):
         with pytest.raises(ValueError):
-            skew_chain_terminals(0.5, make_grid(1.0, 10), SeedSpec(1), 0)
+            skew_chain_terminals(0.5, TimeGrid(1.0, 10), SeedSpec(1), 0)
 
     def test_chain_stays_on_half_line_at_full_skew(self):
-        draws = skew_chain_terminals(1.0, make_grid(1.0, 100), SeedSpec(33), 5000)
+        draws = skew_chain_terminals(1.0, TimeGrid(1.0, 100), SeedSpec(33), 5000)
         assert np.all(draws >= 0.0)
 
 
@@ -305,7 +293,7 @@ def transition_sample_all_paths(theta, x_start, t, seed, size):
     return -draws if mirrored else draws
 
 
-#: sha256 of skew_chain_terminals(theta, make_grid(1.0, 400), SeedSpec(4242), 3000).tobytes(),
+#: sha256 of skew_chain_terminals(theta, TimeGrid(1.0, 400), SeedSpec(4242), 3000).tobytes(),
 #: recorded with the sign probability evaluated on every path
 CHAIN_GOLDEN = {
     0.0: "a13ba850087f1165d4f7ac634a8362209e8a05699ae289705369bff2a338dfc3",
@@ -354,7 +342,7 @@ class TestChainKernel:
     @pytest.mark.parametrize("theta", [-1.0, 1.0, 0.5])
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 40])
     def test_zero_landings_and_stream_position(self, theta, n_steps):
-        grid = make_grid(1.0, n_steps)
+        grid = TimeGrid(1.0, n_steps)
         n_paths = len(ZERO_LANDINGS[0])
         kernel, reference = (ScriptedSeed(77, ZERO_LANDINGS[:n_steps]) for _ in range(2))
         got = skew_chain_terminals(theta, grid, kernel, n_paths)
@@ -367,7 +355,7 @@ class TestChainKernel:
 
     @pytest.mark.parametrize("theta", sorted(CHAIN_GOLDEN))
     def test_golden_bytes(self, theta):
-        x = skew_chain_terminals(theta, make_grid(1.0, 400), SeedSpec(4242), 3000)
+        x = skew_chain_terminals(theta, TimeGrid(1.0, 400), SeedSpec(4242), 3000)
         assert hashlib.sha256(x.tobytes()).hexdigest() == CHAIN_GOLDEN[theta]
 
     @settings(max_examples=60)
@@ -379,7 +367,7 @@ class TestChainKernel:
         master=SEEDS,
     )
     def test_equals_all_paths_step(self, theta, t_end, n_steps, n_paths, master):
-        grid = make_grid(t_end, n_steps)
+        grid = TimeGrid(t_end, n_steps)
         got = skew_chain_terminals(theta, grid, SeedSpec(master), n_paths)
         want = chain_terminals_all_paths(theta, grid, SeedSpec(master), n_paths)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))

@@ -10,8 +10,8 @@ from hdp_lab import (
     NonMarkovParams,
     Path,
     SeedSpec,
+    TimeGrid,
     benchmark_solution,
-    make_grid,
     nonmarkov_solution,
     reflected_solution_explicit,
     sample_brownian,
@@ -64,7 +64,7 @@ class TestModelParams:
 class TestBenchmark:
     def test_power_identity_along_path(self):
         params = ModelParams(alpha=0.5, x0=1.0)
-        grid = make_grid(1.0, 256)
+        grid = TimeGrid(1.0, 256)
         b = sample_brownian(grid, SeedSpec(41))
         x = benchmark_solution(params, b)
         signed_root = signed_power(x.values, 0.5)
@@ -72,7 +72,7 @@ class TestBenchmark:
 
     def test_flat_driver_keeps_start(self):
         params = ModelParams(alpha=0.5, x0=1.0)
-        grid = make_grid(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         x = benchmark_solution(params, Path(grid, np.zeros(5)))
         np.testing.assert_allclose(x.values, 1.0)
 
@@ -80,7 +80,7 @@ class TestBenchmark:
 class TestStopped:
     def test_absorbs_at_first_argument_sign_change(self):
         params = ModelParams(alpha=0.5, x0=1.0)
-        grid = make_grid(4.0, 4)
+        grid = TimeGrid(4.0, 4)
         # argument 1 + 0.5 B: crosses 0 when B goes below -2
         b = Path(grid, np.array([0.0, -1.0, -3.0, 1.0, 5.0]))
         x = stopped_solution(params, b)
@@ -90,7 +90,7 @@ class TestStopped:
 
     def test_no_crossing_equals_benchmark(self):
         params = ModelParams(alpha=-0.5, x0=1.0)
-        grid = make_grid(1.0, 128)
+        grid = TimeGrid(1.0, 128)
         b = sample_brownian(grid, SeedSpec(42))
         if np.min(1.5 * b.values + 1.0) > 0.0:  # seed chosen to stay positive
             np.testing.assert_array_equal(
@@ -105,7 +105,7 @@ class TestNonMarkov:
     def test_window_interior_is_absorbed(self):
         params = ModelParams(alpha=0.5, x0=0.0)
         nm = NonMarkovParams(A=0.4, B_level=0.6)
-        grid = make_grid(3.0, 3)
+        grid = TimeGrid(3.0, 3)
         b = Path(grid, np.array([0.0, 0.5, -0.5, 2.0]))  # argument = B/2
         x = nonmarkov_solution(params, nm, b)
         assert x.values[0] == 0.0
@@ -116,7 +116,7 @@ class TestNonMarkov:
     def test_vanishing_window_recovers_benchmark(self):
         params = ModelParams(alpha=0.5, x0=0.0)
         nm = NonMarkovParams(A=1e-12, B_level=1e-12)
-        grid = make_grid(1.0, 64)
+        grid = TimeGrid(1.0, 64)
         b = sample_brownian(grid, SeedSpec(43))
         np.testing.assert_allclose(
             nonmarkov_solution(params, nm, b).values,
@@ -132,14 +132,14 @@ class TestNonMarkov:
 
 class TestReflected:
     def test_nonnegative_and_starts_at_x0(self):
-        grid = make_grid(1.0, 512)
+        grid = TimeGrid(1.0, 512)
         b = sample_brownian(grid, SeedSpec(44))
         x = reflected_solution_explicit(0.5, 0.25, b)
         assert np.all(x.values >= 0.0)
         assert abs(x.values[0] - 0.25) < 1e-12
 
     def test_equals_benchmark_before_reflection_bites(self):
-        grid = make_grid(1.0, 256)
+        grid = TimeGrid(1.0, 256)
         b = sample_brownian(grid, SeedSpec(45))
         shift = signed_power(4.0, 0.5)  # x0 = 4, alpha = 0.5
         if np.min(0.5 * b.values + shift) > 0.0:
@@ -152,7 +152,7 @@ class TestReflected:
             pytest.fail("seed 45 was expected to keep the argument positive")
 
     def test_validation(self):
-        b = sample_brownian(make_grid(1.0, 4), SeedSpec(1))
+        b = sample_brownian(TimeGrid(1.0, 4), SeedSpec(1))
         with pytest.raises(ValueError):
             reflected_solution_explicit(0.5, -1.0, b)
         with pytest.raises(ValueError):
@@ -161,7 +161,7 @@ class TestReflected:
 
 class TestSkewSolution:
     def test_transform_of_walk(self):
-        grid = make_grid(1.0, 400)
+        grid = TimeGrid(1.0, 400)
         coupled = simulate_skew_pair(0.5, 0.0, grid, SeedSpec(46))
         x = skew_solution(ModelParams(0.5, 0.5, 0.0), coupled)
         np.testing.assert_allclose(
@@ -169,19 +169,19 @@ class TestSkewSolution:
         )
 
     def test_theta_mismatch_rejected(self):
-        grid = make_grid(1.0, 16)
+        grid = TimeGrid(1.0, 16)
         coupled = simulate_skew_pair(0.5, 0.0, grid, SeedSpec(47))
         with pytest.raises(ValueError, match="theta"):
             skew_solution(ModelParams(0.5, 0.3, 0.0), coupled)
 
     def test_start_mismatch_rejected(self):
-        grid = make_grid(1.0, 16)
+        grid = TimeGrid(1.0, 16)
         coupled = simulate_skew_pair(0.5, 2.0, grid, SeedSpec(48))
         with pytest.raises(ValueError, match="starts at"):
             skew_solution(ModelParams(0.5, 0.5, 0.0), coupled)
 
     def test_non_solution_family_warns(self):
-        grid = make_grid(1.0, 64)
+        grid = TimeGrid(1.0, 64)
         coupled = simulate_skew_pair(0.5, 0.0, grid, SeedSpec(49))
         with pytest.warns(UserWarning, match="non-solution"):
             skew_solution(ModelParams(0.0, 0.5, 0.0), coupled)
