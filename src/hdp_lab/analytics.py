@@ -133,6 +133,7 @@ def msd(alpha: float, theta: float, t: float) -> float:
     _require_alpha(alpha)
     _require_theta(theta)
     _require_positive("t", t)
+    # not ModelParams.inverse_exponent: a reference sharing the solution's code moves with it
     q = 1.0 / (1.0 - alpha)
     try:
         power = (2.0 * t * (1.0 - alpha) ** 2) ** q
@@ -213,7 +214,7 @@ def _reversed_bridge_core(theta, b0, grid, rng, keep):
     charge_bound = _CHARGE_BOUND * h
     g = b0.copy()
     sign = np.where(b0 >= 0.0, 1.0, -1.0)
-    beta_plus = (1.0 + theta) / 2.0
+    beta_plus = SkewCoefficients(theta).beta_plus
     sign_steps = keep[-1] if theta < 1.0 else 0
     ell = np.zeros(m)
     slot = {node: i for i, node in enumerate(keep)}

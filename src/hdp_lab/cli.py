@@ -372,12 +372,10 @@ def _simulate_columns(family, params, window, grid, seed):
     reflection triple; the skew family carries the jointly simulated walk
     triple.  ``window`` is the nonmarkov family's absorption window.
     """
-    shift = params.skew_start
     if family == "skew":
-        coupled = simulate_skew_pair(params.theta, shift, grid, seed)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*non-solution.*")
-            solution = skew_solution(params, coupled)
+            coupled, solution = skew_solution(params, grid, seed)
         return (
             coupled.driver_B.values,
             coupled.skew_B.values,
@@ -385,10 +383,11 @@ def _simulate_columns(family, params, window, grid, seed):
             solution.values,
         )
     brownian = sample_brownian(grid, seed)
+    shift = params.skew_start
     if family == "reflected":
         wandering = brownian.values + shift
         ell = np.maximum(0.0, -np.minimum.accumulate(wandering))
-        solution = reflected_solution_explicit(params.alpha, params.x0, brownian)
+        solution = reflected_solution_explicit(params, brownian)
         return (brownian.values, wandering + ell, ell, solution.values)
     if family == "benchmark":
         solution = benchmark_solution(params, brownian)
@@ -574,6 +573,7 @@ def cmd_exit_prob(args, written: list) -> int:
         "seed": args.seed,
         "estimate": est.value,
         "std_error": est.std_error,
+        # not SkewCoefficients.beta_plus: a reference sharing the kernel's code moves with it
         "target": (1.0 + args.theta) / 2.0,
     }
     _emit_record(args, "exit_prob", record, written)

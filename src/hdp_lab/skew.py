@@ -110,7 +110,6 @@ class CoupledSkewPath:
     driver_B: Path
     skew_B: Path
     local_time_L: Path
-    theta: float
     x0: float
 
 
@@ -173,7 +172,6 @@ def simulate_skew_pair(theta: float, x0: float, grid: TimeGrid, seed: SeedSpec) 
         driver_B=Path(grid, driver_values),
         skew_B=Path(grid, skew_values),
         local_time_L=Path(grid, local_time),
-        theta=coeffs.theta,
         x0=x0_used,
     )
 

@@ -10,7 +10,7 @@ powers of the linear argument (1-alpha)*B_t + (X0)^(1-alpha):
 * skew           - signed power of (1-alpha) * (skew BM), one solution per
                    skewness theta in [-1, 1] when alpha is in (0, 1),
 * reflected      - the theta = 1 member in closed form via the running
-                   minimum of the driver.
+                   minimum of the linear argument.
 
 The skew family with alpha <= 0 and theta != 0 is *not* a solution (the
 local-time term survives in the limit); the constructor still emits the
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Path, _require_positive
-from .skew import CoupledSkewPath, _require_theta
+from .core import Path, SeedSpec, TimeGrid, _require_positive
+from .skew import CoupledSkewPath, _require_theta, simulate_skew_pair
 
 __all__ = [
     "ModelParams",
@@ -77,9 +77,18 @@ class ModelParams:
         return 1.0 / (1.0 - self.alpha)
 
     @property
+    def start_argument(self) -> float:
+        """(X0)^(1-alpha), the start transform every family's argument begins at."""
+        return signed_power(self.x0, 1.0 - self.alpha)
+
+    @property
     def skew_start(self) -> float:
         """B^theta_0 = (X0)^(1-alpha)/(1-alpha), the skew start that the solution X^theta maps to X0."""
-        return signed_power(self.x0, 1.0 - self.alpha) / (1.0 - self.alpha)
+        return self.start_argument / (1.0 - self.alpha)
+
+    def transform(self, b):
+        """X = ((1-alpha) b)^(1/(1-alpha)) in signed powers, the solution map of a skew-BM value b."""
+        return signed_power((1.0 - self.alpha) * b, self.inverse_exponent)
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,7 @@ def _abs_power(ax: np.ndarray, gamma: float) -> np.ndarray:
 
 def _linear_argument(params: ModelParams, B: Path) -> np.ndarray:
     """(1-alpha) * B_t + (X0)^(1-alpha), the argument all families share."""
-    return (1.0 - params.alpha) * B.values + signed_power(params.x0, 1.0 - params.alpha)
+    return (1.0 - params.alpha) * B.values + params.start_argument
 
 
 def benchmark_solution(params: ModelParams, B: Path) -> Path:
@@ -157,50 +166,35 @@ def nonmarkov_solution(params: ModelParams, nm: NonMarkovParams, B: Path) -> Pat
     return Path(B.grid, values)
 
 
-def skew_solution(params: ModelParams, coupled: CoupledSkewPath) -> Path:
-    """X^theta = ((1-alpha) * B^theta)^(1/(1-alpha)) from a coupled skew triple.
+def skew_solution(params: ModelParams, grid: TimeGrid, seed: SeedSpec) -> tuple[CoupledSkewPath, Path]:
+    """The coupled skew triple and X^theta = ((1-alpha) * B^theta)^(1/(1-alpha)) built from it.
 
-    The coupled path must carry the same theta and must have been started at
-    ``params.skew_start`` (up to its sqrt(h) lattice snap).
+    Returns ``(coupled, X)``: the walk of :func:`simulate_skew_pair` from
+    ``params.skew_start`` (up to its sqrt(h) lattice snap) and its solution.
     For alpha <= 0 with theta != 0 the transform is emitted with a warning:
     that family fails the SDE, which is exactly what the residual
     diagnostics are meant to show.
     """
-    if coupled.theta != params.theta:
-        raise ValueError(
-            f"coupled path has theta = {coupled.theta}, params have theta = {params.theta}"
-        )
-    lattice = np.sqrt(coupled.grid.h)
-    if abs(coupled.x0 - params.skew_start) > 0.5000001 * lattice:
-        raise ValueError(
-            f"coupled path starts at {coupled.x0}, expected "
-            f"signed_power(x0, 1-alpha)/(1-alpha) = {params.skew_start} "
-            f"(up to the sqrt(h)/2 lattice snap)"
-        )
+    coupled = simulate_skew_pair(params.theta, params.skew_start, grid, seed)
     if not params.is_known_solution:
         warnings.warn(
             f"(alpha={params.alpha}, theta={params.theta}) is a known non-solution: "
             "the local-time term does not vanish; path emitted for diagnostics",
             stacklevel=2,
         )
-    values = signed_power((1.0 - params.alpha) * coupled.skew_B.values, params.inverse_exponent)
-    return Path(coupled.grid, values)
+    return coupled, Path(grid, params.transform(coupled.skew_B.values))
 
 
-def reflected_solution_explicit(alpha: float, x0: float, B: Path) -> Path:
+def reflected_solution_explicit(params: ModelParams, B: Path) -> Path:
     """The nonnegative (theta = 1) solution in closed form from the running minimum.
 
-    X_t = ((1-alpha)B_t + X0^(1-alpha) + ((1-alpha)min_{s<=t}B_s + X0^(1-alpha))_-)^(1/(1-alpha))
+    X_t = (u_t + (min_{s<=t} u_s)_-)^(1/(1-alpha)),  u the linear argument,
 
     where (x)_- = max(-x, 0).  Requires X0 >= 0; the inner argument is
     nonnegative by construction, so the outer signed power is a plain power.
     """
-    _require_alpha(alpha)
-    if x0 < 0.0:
-        raise ValueError(f"x0 must be >= 0 for the reflected solution, got {x0}")
-    shift = signed_power(x0, 1.0 - alpha)
-    running_min = np.minimum.accumulate(B.values)
-    inner = (1.0 - alpha) * B.values + shift + np.maximum(
-        -((1.0 - alpha) * running_min + shift), 0.0
-    )
-    return Path(B.grid, signed_power(inner, 1.0 / (1.0 - alpha)))
+    if params.x0 < 0.0:
+        raise ValueError(f"x0 must be >= 0 for the reflected solution, got {params.x0}")
+    u = _linear_argument(params, B)
+    u += np.maximum(-np.minimum.accumulate(u), 0.0)
+    return Path(B.grid, signed_power(u, params.inverse_exponent))

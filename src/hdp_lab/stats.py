@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import SeedSpec, _require_positive
-from .skew import _require_theta, skew_transition_sample
-from .solutions import _require_alpha, signed_power
+from .skew import SkewCoefficients, skew_transition_sample
+from .solutions import ModelParams
 
 __all__ = [
     "EstimatorResult",
@@ -115,9 +115,9 @@ def variance_with_se(samples) -> EstimatorResult:
 
 def msd_estimate(alpha: float, theta: float, t: float, n_samples: int, seed: SeedSpec) -> EstimatorResult:
     """Monte Carlo :func:`~hdp_lab.analytics.msd`: variance and SE of ``n_samples`` exact X_t from ``seed``."""
-    _require_alpha(alpha)
+    params = ModelParams(alpha)
     draws = skew_transition_sample(theta, 0.0, t, seed, size=n_samples)
-    return variance_with_se(signed_power((1.0 - alpha) * draws, 1.0 / (1.0 - alpha)))
+    return variance_with_se(params.transform(draws))
 
 
 def ks_statistic(samples, cdf: Callable) -> float:
@@ -181,7 +181,7 @@ def exit_probability(
     and the CLI defaults); a finer step or a wider band raises
     :class:`ValueError` before the loop starts.
     """
-    theta = _require_theta(theta)
+    beta_plus = SkewCoefficients(theta).beta_plus
     _require_positive("eps", eps)
     _require_positive("h", h)
     if int(n_paths) < 2:
@@ -200,7 +200,6 @@ def exit_probability(
             stacklevel=2,
         )
     rng = seed.generator()
-    beta_plus = (1.0 + theta) / 2.0
     level = max(int(math.ceil(sites)), 1)
 
     exited_top = np.zeros(int(n_paths), dtype=bool)

@@ -18,6 +18,7 @@ from hdp_lab import (
     msd,
     reversed_bridge_ensemble,
     reversed_pair_bridge,
+    skew_density,
     skew_transition_sample,
 )
 from hdp_lab.analytics import _bridge_draws, _reversed_bridge_core
@@ -94,11 +95,31 @@ class TestJointDensities:
         assert joint_density_YB(0.5, 1.0, y, edge + 0.1) == 0.0
         assert joint_density_YB(0.5, 1.0, y, edge - 0.1) > 0.0
 
-    def test_yb_mirror(self):
-        for y, z in ((0.4, 0.1), (-0.7, -0.9), (1.2, 0.3)):
-            assert joint_density_YB(0.6, 1.0, y, z) == pytest.approx(
-                joint_density_YB(-0.6, 1.0, -y, -z), rel=1e-13
-            )
+    @settings(max_examples=500)
+    @given(
+        theta=st.floats(-1.0, 1.0).filter(lambda t: abs(t) > 1e-100),
+        t=st.floats(0.01, 10.0),
+        y=st.floats(-5.0, 5.0),
+        z=st.floats(-5.0, 5.0),
+    )
+    def test_yb_mirror(self, theta, t, y, z):
+        assert joint_density_YB(-theta, t, -y, -z) == joint_density_YB(theta, t, y, z)
+
+    @settings(max_examples=500)
+    @given(
+        theta=st.floats(-1.0, 1.0),
+        t=st.floats(0.01, 10.0),
+        w0=st.floats(-5.0, 5.0),
+        b=st.floats(-5.0, 5.0),
+        ell=st.floats(1e-3, 5.0),
+    )
+    def test_bl_mirror(self, theta, t, w0, b, ell):
+        assert joint_density_BL(-theta, t, -w0, -b, ell) == joint_density_BL(theta, t, w0, b, ell)
+
+    @settings(max_examples=500)
+    @given(theta=st.floats(-1.0, 1.0), t=st.floats(0.01, 10.0), b=st.floats(-5.0, 5.0))
+    def test_skew_density_mirror(self, theta, t, b):
+        assert skew_density(-theta, t, -b) == skew_density(theta, t, b)
 
     def test_yb_degenerate_theta_rejected(self):
         with pytest.raises(ValueError, match="theta = 0"):
@@ -140,6 +161,19 @@ class TestJointDensities:
         assert values[-1] == 0.0
 
 
+@st.composite
+def bridge_ensembles(draw):
+    """(theta, reachable terminals, grid, one seed per path) for the lockstep bridge."""
+    theta = draw(st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0).filter(lambda t: t != 0.0))
+    terminals = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
+    if abs(theta) == 1.0:  # full skew keeps the skew value on theta's half-line
+        terminals = [math.copysign(abs(b), theta) for b in terminals]
+    grid = TimeGrid(draw(st.floats(0.1, 2.0)), draw(st.integers(1, 40)))
+    master = draw(st.integers(0, 2**64 - 1))
+    first = draw(st.integers(0, 10_000))
+    return theta, terminals, grid, [SeedSpec(master, first + j) for j in range(len(terminals))]
+
+
 class TestBridgeReversal:
     def test_endpoints_are_exact(self):
         co = SkewCoefficients(0.5)
@@ -154,12 +188,16 @@ class TestBridgeReversal:
         y, z = reversed_pair_bridge(0.5, 0.1, TimeGrid(1.0, 2000), SeedSpec(74))
         assert z.values[0] < 0.1
 
-    def test_mirror(self):
-        grid = TimeGrid(1.0, 300)
-        y_p, z_p = reversed_pair_bridge(0.5, 0.6, grid, SeedSpec(75))
-        y_m, z_m = reversed_pair_bridge(-0.5, -0.6, grid, SeedSpec(75))
-        np.testing.assert_allclose(y_p.values, -y_m.values, atol=1e-12)
-        np.testing.assert_allclose(z_p.values, -z_m.values, atol=1e-12)
+    @settings(max_examples=40)
+    @given(case=bridge_ensembles(), per_path=st.booleans())
+    def test_mirror(self, case, per_path):
+        theta, terminals, grid, seeds = case
+        seed = seeds if per_path else seeds[0]
+        y, z, ell = reversed_bridge_ensemble(theta, terminals, grid, seed)
+        y_m, z_m, ell_m = reversed_bridge_ensemble(-theta, [-b for b in terminals], grid, seed)
+        np.testing.assert_array_equal(y_m, -y)
+        np.testing.assert_array_equal(z_m, -z)
+        np.testing.assert_array_equal(ell_m, ell)
 
     def test_full_skew_wrong_side_rejected(self):
         with pytest.raises(ValueError, match="unreachable"):
@@ -192,19 +230,6 @@ class TestBridgeReversal:
 
         _, p = ks_test(np.abs(terminals) + ell, chi3_cdf)
         assert p > 0.01
-
-
-@st.composite
-def bridge_ensembles(draw):
-    """(theta, reachable terminals, grid, one seed per path) for the lockstep bridge."""
-    theta = draw(st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0).filter(lambda t: t != 0.0))
-    terminals = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
-    if abs(theta) == 1.0:  # full skew keeps the skew value on theta's half-line
-        terminals = [math.copysign(abs(b), theta) for b in terminals]
-    grid = TimeGrid(draw(st.floats(0.1, 2.0)), draw(st.integers(1, 40)))
-    master = draw(st.integers(0, 2**64 - 1))
-    first = draw(st.integers(0, 10_000))
-    return theta, terminals, grid, [SeedSpec(master, first + j) for j in range(len(terminals))]
 
 
 class TestLockstepBridge:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdp_lab import (
     ModelParams,
@@ -134,7 +136,7 @@ class TestReflected:
     def test_nonnegative_and_starts_at_x0(self):
         grid = TimeGrid(1.0, 512)
         b = sample_brownian(grid, SeedSpec(44))
-        x = reflected_solution_explicit(0.5, 0.25, b)
+        x = reflected_solution_explicit(ModelParams(0.5, x0=0.25), b)
         assert np.all(x.values >= 0.0)
         assert abs(x.values[0] - 0.25) < 1e-12
 
@@ -142,10 +144,11 @@ class TestReflected:
         grid = TimeGrid(1.0, 256)
         b = sample_brownian(grid, SeedSpec(45))
         shift = signed_power(4.0, 0.5)  # x0 = 4, alpha = 0.5
+        params = ModelParams(0.5, 0.0, 4.0)
         if np.min(0.5 * b.values + shift) > 0.0:
             np.testing.assert_allclose(
-                reflected_solution_explicit(0.5, 4.0, b).values,
-                benchmark_solution(ModelParams(0.5, 0.0, 4.0), b).values,
+                reflected_solution_explicit(params, b).values,
+                benchmark_solution(params, b).values,
                 atol=1e-12,
             )
         else:  # pragma: no cover - guards against a seed change
@@ -153,35 +156,46 @@ class TestReflected:
 
     def test_validation(self):
         b = sample_brownian(TimeGrid(1.0, 4), SeedSpec(1))
-        with pytest.raises(ValueError):
-            reflected_solution_explicit(0.5, -1.0, b)
-        with pytest.raises(ValueError):
-            reflected_solution_explicit(1.0, 1.0, b)
+        with pytest.raises(ValueError, match="x0 must be >= 0"):
+            reflected_solution_explicit(ModelParams(0.5, x0=-1.0), b)
+
+    @settings(max_examples=200)
+    @given(
+        alpha=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+        x0=st.just(0.0) | st.floats(0.0, 10.0),
+        t_end=st.floats(0.01, 100.0),
+        n_steps=st.integers(1, 300),
+        master=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_the_driver_minimum_form_bit_for_bit(self, alpha, x0, t_end, n_steps, master):
+        # the running minimum taken of the driver, then scaled and shifted: the
+        # affine map is nondecreasing in floats, so it commutes with the minimum
+        b = sample_brownian(TimeGrid(t_end, n_steps), SeedSpec(master))
+        shift = signed_power(x0, 1.0 - alpha)
+        running_min = np.minimum.accumulate(b.values)
+        inner = (1.0 - alpha) * b.values + shift + np.maximum(
+            -((1.0 - alpha) * running_min + shift), 0.0
+        )
+        expected = signed_power(inner, 1.0 / (1.0 - alpha))
+        x = reflected_solution_explicit(ModelParams(alpha, x0=x0), b)
+        np.testing.assert_array_equal(x.values.view(np.int64), expected.view(np.int64))
 
 
 class TestSkewSolution:
     def test_transform_of_walk(self):
         grid = TimeGrid(1.0, 400)
-        coupled = simulate_skew_pair(0.5, 0.0, grid, SeedSpec(46))
-        x = skew_solution(ModelParams(0.5, 0.5, 0.0), coupled)
-        np.testing.assert_allclose(
-            x.values, signed_power(0.5 * coupled.skew_B.values, 2.0), atol=1e-12
-        )
+        coupled, x = skew_solution(ModelParams(0.5, 0.5, 0.0), grid, SeedSpec(46))
+        walk = simulate_skew_pair(0.5, 0.0, grid, SeedSpec(46)).skew_B.values
+        np.testing.assert_array_equal(coupled.skew_B.values, walk)
+        np.testing.assert_allclose(x.values, signed_power(0.5 * walk, 2.0), atol=1e-12)
 
-    def test_theta_mismatch_rejected(self):
-        grid = TimeGrid(1.0, 16)
-        coupled = simulate_skew_pair(0.5, 0.0, grid, SeedSpec(47))
-        with pytest.raises(ValueError, match="theta"):
-            skew_solution(ModelParams(0.5, 0.3, 0.0), coupled)
-
-    def test_start_mismatch_rejected(self):
-        grid = TimeGrid(1.0, 16)
-        coupled = simulate_skew_pair(0.5, 2.0, grid, SeedSpec(48))
-        with pytest.raises(ValueError, match="starts at"):
-            skew_solution(ModelParams(0.5, 0.5, 0.0), coupled)
+    def test_walk_starts_at_the_skew_start(self):
+        grid = TimeGrid(1.0, 10_000)
+        params = ModelParams(0.5, 0.3, 2.0)
+        coupled, x = skew_solution(params, grid, SeedSpec(48))
+        assert abs(coupled.x0 - params.skew_start) <= 0.5 * math.sqrt(grid.h)
+        assert x.values[0] == params.transform(coupled.x0)
 
     def test_non_solution_family_warns(self):
-        grid = TimeGrid(1.0, 64)
-        coupled = simulate_skew_pair(0.5, 0.0, grid, SeedSpec(49))
         with pytest.warns(UserWarning, match="non-solution"):
-            skew_solution(ModelParams(0.0, 0.5, 0.0), coupled)
+            skew_solution(ModelParams(0.0, 0.5, 0.0), TimeGrid(1.0, 64), SeedSpec(49))
