@@ -22,7 +22,7 @@ they share and the path ranges: it writes the first range straight into
 the CSV and has the workers write the others to hidden part files beside
 it, appended in path order.  Each path draws from its own stream, so the
 bytes do not depend on the worker count.
-Each subcommand takes only the options its command reads (``_OPTIONS``).
+Each subcommand, and each value of its choice, takes only the options it reads (``_OPTIONS``).
 ``main`` resolves each of them once, before the command runs, as flags
 first, then an optional ``KEY=VALUE`` config file (``--config``, which may
 hold any option's key), then the ``HDP_LAB_SEED`` environment variable for
@@ -112,8 +112,8 @@ _OPTIONS = {
     "steps": (int, 1000, None, "grid steps"),
     "paths": (int, 10, None, "paths to draw"),
     "seed": (int, 0, None, "master seed (env HDP_LAB_SEED when not given)"),
-    "window_a": (float, 0.5, None, "nonmarkov window below 0"),
-    "window_b": (float, 0.5, None, "nonmarkov window above 0"),
+    "window_a": (float, 0.5, None, "window below 0"),
+    "window_b": (float, 0.5, None, "window above 0"),
     "out": (str, ".", None, "output directory"),
     "format": (str, "csv", ("csv", "json"), "result format"),
     "workers": (
@@ -373,9 +373,7 @@ def _simulate_columns(family, params, window, grid, seed):
     triple.  ``window`` is the nonmarkov family's absorption window.
     """
     if family == "skew":
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message=".*non-solution.*")
-            coupled, solution = skew_solution(params, grid, seed)
+        coupled, solution = skew_solution(params, grid, seed)
         return (
             coupled.driver_B.values,
             coupled.skew_B.values,
@@ -402,17 +400,16 @@ def cmd_simulate(args, written: list) -> int:
     family, paths, steps = args.family, args.paths, args.steps
     if paths < 1:
         raise CliError(f"--paths must be >= 1, got {paths}")
-    params = ModelParams(alpha=args.alpha, theta=args.theta, x0=args.x0)  # validates ranges
-    if family == "reflected" and args.x0 < 0.0:
-        raise CliError(f"reflected family needs x0 >= 0, got {args.x0}")
+    theta = {"skew": args.theta, "reflected": 1.0}.get(family, 0.0)  # the theta the family runs
+    params = ModelParams(alpha=args.alpha, theta=theta, x0=args.x0)  # validates ranges
+    if family == "reflected" and params.x0 < 0.0:
+        raise CliError(f"reflected family needs x0 >= 0, got {params.x0}")
     fields = {
         "family": family,
-        "alpha": args.alpha,
-        "theta": args.theta,
-        "x0": args.x0,
+        **vars(params),  # alpha, theta and x0 as the run used them
         "t_end": args.t_end,
         "seed_scheme": "SeedSpec(master_seed, path_id)",
-        "non_solution_flag": family == "skew" and not params.is_known_solution,
+        "non_solution_flag": not params.is_known_solution,
     }
     window = None
     if family == "nonmarkov":
@@ -430,6 +427,8 @@ def cmd_simulate(args, written: list) -> int:
         args, written, "simulate", "paths.csv", ["t", "B", "B_theta", "L", "X"], grid, blocks, 1,
         fields, "paths",
     )
+    if not params.is_known_solution:  # after the run, so a failed run prints its error line alone
+        warnings.warn(f"{params} is a known non-solution: the local-time term does not vanish")
     return 0
 
 
@@ -484,15 +483,15 @@ def _read_points(path: str, n_columns: int, labels: tuple) -> list:
 
 @np.errstate(over="ignore", invalid="ignore")  # past the float range the densities return 0 (inf * 0)
 def cmd_density(args, written: list) -> int:
-    which, theta, t, x0 = args.which, args.theta, args.t_end, args.x0
+    which, theta, t = args.which, args.theta, args.t_end
     if args.points is None:
         raise CliError("density requires --points (CSV file of evaluation points)")
     _require_positive("t", t)  # the joint-yb rows outside the wedge never reach a density
     if which == "skew":
         labels = ("b",)
     elif which == "joint-bl":
-        if not math.isfinite(x0):
-            raise CliError(f"joint-bl needs a finite --x0, got {x0}")
+        if not math.isfinite(args.x0):
+            raise CliError(f"joint-bl needs a finite --x0, got {args.x0}")
         labels = ("b", "l")
     else:
         if theta == 0.0:
@@ -511,7 +510,7 @@ def cmd_density(args, written: list) -> int:
             if row[1] <= 0.0:
                 value, status = math.nan, "invalid: l must be > 0"
             else:
-                value, status = joint_density_BL(theta, t, x0, row[0], row[1]), "ok"
+                value, status = joint_density_BL(theta, t, args.x0, row[0], row[1]), "ok"
         else:
             if coeffs.in_wedge(row[0], row[1]):
                 value, status = joint_density_YB(theta, t, row[0], row[1]), "ok"
@@ -629,24 +628,28 @@ def cmd_reverse(args, written: list) -> int:
 # parser / entry point
 
 
-def _add_options(parser: argparse.ArgumentParser, func, names: str, **defaults) -> None:
+def _add_options(parser: argparse.ArgumentParser, func, names: str, read_by=(), **defaults) -> None:
     """Give the subcommand ``parser`` its command ``func``, the ``_OPTIONS`` in ``names`` and ``--config``.
 
     ``defaults`` override the table's for this subcommand, in its help and in
-    ``_resolve``.  A flag not given parses to None, so a config value can fill it.
-    Choices show in the help but are checked in ``main``, for flags and config
-    values alike.
+    ``_resolve``; ``read_by`` maps an option one choice value alone reads to that
+    ``(choice, value)``, for its help and ``main``.  A flag not given parses to
+    None, so a config value can fill it.  Choices show in the help but are
+    checked in ``main``, for flags and config values alike.
     """
-    own = {}
+    own, gates = {}, {}
     for name in names.split():
         key = name.replace("-", "_")
         kind, default, choices, text = _OPTIONS[key]
         own[key] = default = defaults.get(key, default)
         shown = "" if default is None else f" [{default}]"
+        if name in read_by:
+            gates[key] = choice, value = read_by[name]
+            shown += f"; read only by --{choice} {value}"
         metavar = "{" + ",".join(choices) + "}" if choices else None
         parser.add_argument(f"--{name}", dest=key, type=kind, metavar=metavar, help=text + shown)
     parser.add_argument("--config", help="KEY=VALUE config file; flags win over the file")
-    parser.set_defaults(func=func, _defaults=own)
+    parser.set_defaults(func=func, _defaults=own, _read_by=gates)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -669,12 +672,14 @@ def build_parser() -> argparse.ArgumentParser:
             "Simulate one solution family and write the ensemble as CSV plus a JSON "
             "manifest.  Families built directly from Brownian motion carry the shifted "
             "driver in B_theta and zeros in L; the skew family carries its walk triple; "
-            "the manifest's non_solution_flag marks skew runs outside the solving regime."
+            "the manifest's non_solution_flag marks runs outside the solving regime."
         ),
     )
     _add_options(
         p, cmd_simulate,
         "family alpha theta x0 t-end steps paths seed window-a window-b out workers",
+        read_by={"theta": ("family", "skew"), "window-a": ("family", "nonmarkov"),
+                 "window-b": ("family", "nonmarkov")},
     )
 
     p = sub.add_parser(
@@ -699,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
             "exit code to 1."
         ),
     )
-    _add_options(p, cmd_density, "which points theta t-end x0 out")
+    _add_options(p, cmd_density, "which points theta t-end x0 out", read_by={"x0": ("which", "joint-bl")})
 
     p = sub.add_parser(
         "msd",
@@ -733,11 +738,16 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _parse_config_file(args.config) if args.config else {}
-        for key in args._defaults:  # the options this subcommand takes
+        # the options this subcommand takes, each choice before the options its values gate
+        for key in sorted(args._defaults, key=args._read_by.__contains__):
+            name, gate = key.replace("_", "-"), args._read_by.get(key)
+            if gate and getattr(args, gate[0]) != gate[1]:
+                if getattr(args, key) is not None:
+                    raise CliError(f"--{name} is read only by --{gate[0]} {gate[1]}")
+                continue  # and its config key is ignored
             value = _resolve(args, key, config)
             choices = _OPTIONS[key][2]
             if choices is not None and value not in choices:
-                name = key.replace("_", "-")
                 problem = f"--{name} is required" if value is None else f"unknown {name} {value!r}"
                 raise CliError(f"{problem}; choose from {', '.join(choices)}")
             setattr(args, key, value)

@@ -14,13 +14,12 @@ powers of the linear argument (1-alpha)*B_t + (X0)^(1-alpha):
 
 The skew family with alpha <= 0 and theta != 0 is *not* a solution (the
 local-time term survives in the limit); the constructor still emits the
-path, flagged by a warning, so the failure itself can be measured.
+path, so the failure itself can be measured (``ModelParams.is_known_solution``).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,17 +170,11 @@ def skew_solution(params: ModelParams, grid: TimeGrid, seed: SeedSpec) -> tuple[
 
     Returns ``(coupled, X)``: the walk of :func:`simulate_skew_pair` from
     ``params.skew_start`` (up to its sqrt(h) lattice snap) and its solution.
-    For alpha <= 0 with theta != 0 the transform is emitted with a warning:
-    that family fails the SDE, which is exactly what the residual
+    Where ``params.is_known_solution`` is false the transform is emitted all
+    the same: that family fails the SDE, which is exactly what the residual
     diagnostics are meant to show.
     """
     coupled = simulate_skew_pair(params.theta, params.skew_start, grid, seed)
-    if not params.is_known_solution:
-        warnings.warn(
-            f"(alpha={params.alpha}, theta={params.theta}) is a known non-solution: "
-            "the local-time term does not vanish; path emitted for diagnostics",
-            stacklevel=2,
-        )
     return coupled, Path(grid, params.transform(coupled.skew_B.values))
 
 

@@ -1,5 +1,6 @@
 """Closed-form analytics: msd, joint densities, reversal, heat identity."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -232,7 +233,18 @@ class TestBridgeReversal:
         assert p > 0.01
 
 
+#: sha256 of Y then Z of reversed_bridge_ensemble(0.5, zeros(8), TimeGrid(1.0, 2000),
+#: [SeedSpec(7, j) for j in range(8)]).  Bridges from 0 pass 0 most often, and each passage
+#: draws a sign against beta_plus, so a shift of it by 1e-3 either way moves a sign at this seed.
+BRIDGE_GOLDEN = "693b51dc0d2be3dfdb218658edd89e26887c47735836398c10c0fc50ff042513"
+
+
 class TestLockstepBridge:
+    def test_golden_bytes(self):
+        seeds = [SeedSpec(7, j) for j in range(8)]
+        y, z, _ = reversed_bridge_ensemble(0.5, np.zeros(8), TimeGrid(1.0, 2000), seeds)
+        assert hashlib.sha256(y.tobytes() + z.tobytes()).hexdigest() == BRIDGE_GOLDEN
+
     @settings(max_examples=60)
     @given(case=bridge_ensembles())
     def test_per_path_streams_match_single_path_bridges(self, case):

@@ -64,15 +64,19 @@ class TestSimulate:
             tmp_path / "b" / "paths.csv"
         ).read_text()
 
-    def test_non_solution_flag_for_negative_alpha_skew(self, tmp_path):
-        rc = main(
-            [
-                "simulate", "--family", "skew", "--alpha", "-0.5", "--theta", "0.5",
-                "--paths", "1", "--steps", "20", "--out", str(tmp_path),
-            ]
-        )
-        assert rc == 0
-        assert read_manifest(tmp_path)["non_solution_flag"] is True
+    @pytest.mark.parametrize("family, theta", [("skew", "0.5"), ("reflected", None)])
+    def test_non_solution_run_is_flagged_and_warned_once(self, tmp_path, capsys, family, theta):
+        """At alpha <= 0, skew at theta != 0 and reflected (theta = 1): one warning, not one per path or worker."""
+        argv = ["simulate", "--family", family, "--alpha", "-0.5", "--x0", "0.3", "--paths", "4",
+                "--steps", "20", "--workers", "2", *(["--theta", theta] if theta else [])]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        manifest = read_manifest(tmp_path)
+        assert (manifest["theta"], manifest["non_solution_flag"]) == (float(theta or 1), True)
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            f"warning: ModelParams(alpha=-0.5, theta={float(theta or 1)}, x0=0.3) is a known "
+            "non-solution: the local-time term does not vanish"
+        ]
 
     def test_reflected_family_columns_are_consistent(self, tmp_path):
         main(
@@ -460,6 +464,16 @@ class TestConfiguration:
         assert manifest["master_seed"] == 11
         assert manifest["paths"] == 2
 
+    def test_a_key_its_choice_does_not_read_is_ignored(self, tmp_path):
+        """Even a value that is no float: the run and its manifest are those without the keys."""
+        config = tmp_path / "run.cfg"
+        config.write_text("theta=0.3\nwindow_a=abc\n")
+        flags, digest = SIMULATE_GOLDEN["benchmark"]
+        argv = ["simulate", "--family", "benchmark", *flags, "--paths", "3", "--steps", "40", "--seed", "5"]
+        assert main([*argv, "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert sha256_of(tmp_path / "paths.csv") == digest
+        TestManifests.assert_manifest(tmp_path, MANIFEST_GOLDEN["benchmark"])
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("bogus=1\n")
@@ -541,6 +555,13 @@ SUBCOMMAND_OPTIONS = {
 }
 
 
+#: the options that some values of a subcommand's choice do not read, by the values that do
+CHOICE_OPTIONS = {
+    ("simulate", "family"): {"skew": "theta", "nonmarkov": "window-a window-b"},
+    ("density", "which"): {"joint-bl": "x0"},
+}
+
+
 def _keys_read_by(function_name: str) -> set:
     """The ``args.<key>`` options a cli function reads, itself or through any cli function it names, from the source."""
     tree = ast.parse(inspect.getsource(cli))
@@ -591,6 +612,30 @@ class TestParserSurface:
         assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"
         assert not Path("out").exists()
 
+    @pytest.mark.parametrize("subcommand, choice", sorted(CHOICE_OPTIONS))
+    def test_each_choice_value_takes_only_the_options_it_reads(self, monkeypatch, capsys, subcommand, choice):
+        """Every (value, option) pair, the command stubbed: a gated option given elsewhere is one ``error:`` line."""
+        monkeypatch.setattr(cli, f"cmd_{subcommand}", lambda args, written: 0)
+        readers = CHOICE_OPTIONS[subcommand, choice]
+        gated = {option: value for value, options in readers.items() for option in options.split()}
+        options = SUBCOMMAND_OPTIONS[subcommand].split()[:-1]  # all but --config
+        accepted = 0
+        for value in cli._OPTIONS[choice][2]:
+            for option in options:
+                code = main([subcommand, f"--{choice}", value, f"--{option}", value if option == choice else "1"])
+                err = capsys.readouterr().err
+                if gated.get(option, value) == value:
+                    assert (code, err) == (0, ""), (value, option, err)
+                    accepted += 1
+                else:
+                    assert (code, err) == (2, f"error: --{option} is read only by --{choice} {gated[option]}\n")
+        assert accepted == {"simulate": 48, "density": 16}[subcommand]
+        with pytest.raises(SystemExit):
+            main([subcommand, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for value, options in readers.items():
+            assert help_text.count(f"; read only by --{choice} {value}") == len(options.split())
+
     @pytest.mark.parametrize("command, paths", [("msd", 0), ("exit-prob", 20_000), ("simulate", 10)])
     def test_paths_default_per_subcommand_and_in_help(self, capsys, command, paths):
         args = cli.build_parser().parse_args([command])
@@ -620,6 +665,8 @@ class TestParserSurface:
             (["simulate", "--family", "skew"], "paths 3", "run.cfg:1: expected KEY=VALUE, got 'paths 3'"),
             (["simulate", "--family", "skew", "--paths", "0"], "", "--paths must be >= 1, got 0"),
             (["simulate", "--family", "reflected", "--x0", "-1"], "", "reflected family needs x0 >= 0, got -1.0"),
+            (["simulate", "--family", "benchmark", "--theta", "0.3"], "", "--theta is read only by --family skew"),
+            (["density", "--which", "skew", "--x0", "1"], "points=pts.csv", "--x0 is read only by --which joint-bl"),
             (["reverse", "--paths", "0"], "", "--paths must be >= 1, got 0"),
         ],
     )
@@ -651,7 +698,7 @@ class TestParserSurface:
 #: writer and the one-bridge-per-path reversal; the CSV bytes are frozen
 SIMULATE_GOLDEN = {
     "benchmark": (
-        ["--alpha", "0.5", "--theta", "0.3", "--x0", "1"],
+        ["--alpha", "0.5", "--x0", "1"],
         "aa97c3ef18a7231ecbd8ec4242b929d4d0bc77d690579d147a4425dfee18c028",
     ),
     "stopped": (
@@ -719,11 +766,11 @@ _REVERSED = {
     "theta": 0.5,
 }
 MANIFEST_GOLDEN = {
-    "benchmark": {**_SIMULATED, "family": "benchmark", "alpha": 0.5, "theta": 0.3, "x0": 1.0,
+    "benchmark": {**_SIMULATED, "family": "benchmark", "alpha": 0.5, "theta": 0.0, "x0": 1.0,
                   "non_solution_flag": False},
     "nonmarkov": {**_SIMULATED, "family": "nonmarkov", "alpha": 0.5, "theta": 0.0, "x0": 0.2,
                   "non_solution_flag": False, "window_a": 0.3, "window_b": 0.7},
-    "reflected": {**_SIMULATED, "family": "reflected", "alpha": 0.5, "theta": 0.0, "x0": 0.2,
+    "reflected": {**_SIMULATED, "family": "reflected", "alpha": 0.5, "theta": 1.0, "x0": 0.2,
                   "non_solution_flag": False},
     "skew": {**_SIMULATED, "family": "skew", "alpha": -0.5, "theta": 0.5, "x0": 0.4,
              "non_solution_flag": True},

@@ -26,6 +26,8 @@ OPTIONS = {
     name: [action.dest for action in parser._actions if action.dest in cli._OPTIONS]
     for name, parser in _SUBPARSERS.choices.items()
 }
+#: the options that one value of a subcommand's choice alone reads, by config key: (choice, value)
+READ_BY = {name: parser.get_default("_read_by") for name, parser in _SUBPARSERS.choices.items()}
 
 #: values that are wrong, or at the edge, for any float option: 0, negative, +-inf, nan, huge,
 #: tiny and non-numeric
@@ -70,9 +72,11 @@ def runs(draw):
     """``(argv, config lines, HDP_LAB_SEED or None, points rows)`` for one command.
 
     Each option of the drawn subcommand is left out or given, as a flag or
-    as a config key.  ``verify`` is drawn only with a bad ``--suite`` or a bad
-    ``--workers``, so no suite runs.  ``points`` names the points file as
-    ``{points}``; its rows are drawn to the column count of the drawn ``which``.
+    as a config key; one that the drawn choice value does not read
+    (``READ_BY``) is given only 1 time in 10.  ``verify`` is drawn only with
+    a bad ``--suite`` or a bad ``--workers``, so no suite runs.  ``points``
+    names the points file as ``{points}``; its rows are drawn to the column
+    count of the drawn ``which``.
     """
     subcommand = draw(st.sampled_from(sorted(OPTIONS)))
     given_values = {}
@@ -92,6 +96,9 @@ def runs(draw):
             pick = draw(st.integers(0, 9))  # left out 3 times in 10, an edge value 1 time in 10
             if pick >= 3:
                 given_values[key] = draw(edge if pick == 9 else typical)
+        for key, (choice, value) in READ_BY[subcommand].items():
+            if key in given_values and given_values.get(choice) != value and draw(st.integers(0, 9)):
+                del given_values[key]
         if "points" in OPTIONS[subcommand] and draw(st.integers(0, 5)):
             given_values["points"] = "{points}"  # the file's path, filled in by the test
     argv, config = [subcommand], []
@@ -136,6 +143,8 @@ def _check_csv(path: Path) -> None:
 @example(run=(["simulate"], ["family=skew", "t_end=5e-324"], None, [["0"]]))
 # the bridge's local time overflowed on a 1e308 horizon and reverse wrote nan: now it exits 2
 @example(run=(["reverse"], ["horizon=1e308", "steps=1"], None, [["0"]]))
+# a window flag for a family that does not read it exits 2
+@example(run=(["simulate", "--family", "stopped", "--window-b", "0.7"], [], None, [["0"]]))
 def test_every_run_keeps_the_exit_contract(run):
     argv, config, env_seed, rows = run
     with tempfile.TemporaryDirectory() as tmp:

@@ -103,7 +103,18 @@ class TestSkewCoefficients:
         assert co.sigma(1.0) != co.sigma(-1.0)
 
 
+#: sha256 of the skew walks of simulate_skew_pair(0.5, 0.0, TimeGrid(1.0, 10**5), SeedSpec(7, j)),
+#: j = 0, 1, end to end.  Their few hundred excursion signs each draw against beta_plus, so a shift
+#: of it by 1e-3 either way moves a sign at this seed; the CLI goldens' shorter walks do not see it.
+WALK_GOLDEN = "f890f5e12e1c3d90cfcf4b70bc5622ee53a3301e86c5a396804a30e8bccc9684"
+
+
 class TestSimulateSkewPair:
+    def test_golden_bytes(self):
+        grid = TimeGrid(1.0, 10**5)
+        walks = [simulate_skew_pair(0.5, 0.0, grid, SeedSpec(7, j)).skew_B.values for j in range(2)]
+        assert hashlib.sha256(np.concatenate(walks).tobytes()).hexdigest() == WALK_GOLDEN
+
     def test_walk_lives_on_lattice(self):
         grid = TimeGrid(1.0, 500)
         coupled = simulate_skew_pair(0.5, 0.0, grid, SeedSpec(21))

@@ -1,6 +1,7 @@
 """Closed-form solution families and the signed-power transform."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,10 @@ class TestSkewSolution:
         assert abs(coupled.x0 - params.skew_start) <= 0.5 * math.sqrt(grid.h)
         assert x.values[0] == params.transform(coupled.x0)
 
-    def test_non_solution_family_warns(self):
-        with pytest.warns(UserWarning, match="non-solution"):
-            skew_solution(ModelParams(0.0, 0.5, 0.0), TimeGrid(1.0, 64), SeedSpec(49))
+    def test_non_solution_family_is_built_without_a_warning(self):
+        """``is_known_solution`` is the library's signal; the CLI warns once per run, not per path."""
+        params = ModelParams(0.0, 0.5, 0.0)
+        assert not params.is_known_solution
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            skew_solution(params, TimeGrid(1.0, 64), SeedSpec(49))
