@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .core import Path, SeedSpec, TimeGrid, _require_positive, _skip_doubles
+from .core import Path, SeedSpec, TimeGrid, _require_positive, _step_draws
 from .skew import SkewCoefficients, _require_theta
 from .solutions import _require_alpha
 
@@ -152,30 +152,6 @@ def msd(alpha: float, theta: float, t: float) -> float:
     return value
 
 
-def _bridge_draws(rng, m: int):
-    """Per-step draw functions (normals, uniforms, skipped uniforms) of the bridge core.
-
-    One shared generator draws m-vectors, and skips m uniforms by moving its
-    stream past them without making them (:func:`~hdp_lab.core._skip_doubles`);
-    a list of per-path generators draws one scalar per path, so path j draws
-    exactly what a one-path run on its own stream draws, and skips by drawing.
-    A per-path uniform is one raw 64-bit Philox output turned into a double
-    as ``Generator.random`` does, ``(raw >> 11) * 2**-53``: the same bits
-    and the same stream position, at about half the cost of a ``random()``
-    call.  Normals stay ``standard_normal()``: the ziggurat reads a variable
-    number of outputs.
-    """
-    if isinstance(rng, np.random.Generator):
-        return (
-            lambda: rng.standard_normal(m),
-            lambda: rng.random(m),
-            lambda: _skip_doubles(rng, m),
-        )
-    normals, raws = [g.standard_normal for g in rng], [g.bit_generator.random_raw for g in rng]
-    uniform = lambda: (np.array([f() for f in raws], dtype=np.uint64) >> 11) * 2.0**-53
-    return (lambda: np.array([f() for f in normals])), uniform, uniform
-
-
 #: A bridge step from g to g_new charges local time only where g*g_new <= 32*h.
 #: The local time is max(0, tail - amp) with amp = |g| + |g_new| and
 #: tail**2 = (g_new - g)**2 - 2h*log(1 - u); a uniform u <= 1 - 2**-53 bounds
@@ -197,20 +173,20 @@ def _reversed_bridge_core(theta, b0, grid, rng, keep):
     (len(keep), paths), and each path's total local time.  A horizon so long
     that the local time overflows raises ValueError.
 
-    Every step draws a normal, a tail uniform and a sign uniform per path.
-    The tail, the sign refresh and the local-time update are evaluated only
-    on the paths with g*g_new <= 32*h (see ``_CHARGE_BOUND``); elsewhere the
-    step charges exactly 0.0, so the result is bit for bit that of
-    evaluating them on every path.  A sign is read only up to the last kept
-    node, and at theta = 1 every refresh gives +1; so the steps after that
-    node, and every step at theta = 1, skip the sign uniforms: a shared
-    generator moves past them, per-path streams draw them.
+    Every step draws a normal, a tail uniform and a sign uniform per path,
+    through :func:`~hdp_lab.core._step_draws`.  The tail, the sign refresh
+    and the local-time update are evaluated only on the paths with g*g_new
+    <= 32*h (see ``_CHARGE_BOUND``), and only their uniforms are made;
+    elsewhere the step charges exactly 0.0, so the result is bit for bit
+    that of evaluating them on every path.  A sign is read only up to the
+    last kept node, and at theta = 1 every refresh gives +1; so the steps
+    after that node, and every step at theta = 1, skip the sign uniforms.
     """
     n = grid.n_steps
     h = grid.h
     horizon = grid.t_end
     m = b0.size
-    normal, uniform, skip = _bridge_draws(rng, m)
+    normal, uniform, skip = _step_draws(rng, m)
     charge_bound = _CHARGE_BOUND * h
     g = b0.copy()
     sign = np.where(b0 >= 0.0, 1.0, -1.0)
@@ -230,16 +206,15 @@ def _reversed_bridge_core(theta, b0, grid, rng, keep):
         g_new = normal()
         g_new *= math.sqrt(h * ratio)
         g_new += g * ratio
-        u_tail = uniform()
         near = np.flatnonzero(g * g_new <= charge_bound)
         g_near, g_new_near = g.take(near), g_new.take(near)
-        tail = np.sqrt(np.square(g_new_near - g_near) - 2.0 * h * np.log(1.0 - u_tail.take(near)))
+        tail = np.sqrt(np.square(g_new_near - g_near) - 2.0 * h * np.log(1.0 - uniform(near)))
         step_ell = np.maximum(0.0, tail - (np.abs(g_near) + np.abs(g_new_near)))
         charged = step_ell > 0.0
         hit = near[charged]
         ell[hit] += step_ell[charged]
         if k < sign_steps:
-            sign[hit] = np.where(uniform().take(hit) < beta_plus, 1.0, -1.0)
+            sign[hit] = np.where(uniform(hit) < beta_plus, 1.0, -1.0)
         else:
             skip()
         g = g_new

@@ -22,7 +22,7 @@ they share and the path ranges: it writes the first range straight into
 the CSV and has the workers write the others to hidden part files beside
 it, appended in path order.  Each path draws from its own stream, so the
 bytes do not depend on the worker count.
-Each subcommand, and each value of its choice, takes only the options it reads (``_OPTIONS``).
+Each subcommand, each value of its choice and ``msd --paths 0`` take only the options they read.
 ``main`` resolves each of them once, before the command runs, as flags
 first, then an optional ``KEY=VALUE`` config file (``--config``, which may
 hold any option's key), then the ``HDP_LAB_SEED`` environment variable for
@@ -256,13 +256,14 @@ def _write_block(fh, path_id: int, template: tuple, columns: tuple) -> None:
     flat = np.column_stack(columns).ravel()
     bits = flat.view(np.uint64)
     ordered = np.sort(bits)
-    if 1 + np.count_nonzero(ordered[1:] != ordered[:-1]) > _DISTINCT_SHARE * bits.size:
+    changed = ordered[1:] != ordered[:-1]
+    if 1 + np.count_nonzero(changed) > _DISTINCT_SHARE * bits.size:
         fh.write(f"{path_id}".join(per_value) % tuple(flat.tolist()))
         return
-    distinct, inverse = np.unique(bits, return_inverse=True)
+    distinct = ordered[np.concatenate(([True], changed))]
     # "%.17g" never prints a comma; the empty piece after the last one is never gathered
     strings = "%.17g," * distinct.size % tuple(distinct.view(np.float64).tolist())
-    gathered = np.array(strings.split(","), dtype=object)[inverse]
+    gathered = np.array(strings.split(","), dtype=object)[np.searchsorted(distinct, bits)]
     fh.write(f"{path_id}".join(preformatted) % tuple(gathered.tolist()))
 
 
@@ -738,6 +739,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _parse_config_file(args.config) if args.config else {}
+        seed_flag = getattr(args, "seed", None) is not None
         # the options this subcommand takes, each choice before the options its values gate
         for key in sorted(args._defaults, key=args._read_by.__contains__):
             name, gate = key.replace("_", "-"), args._read_by.get(key)
@@ -753,6 +755,8 @@ def main(argv=None) -> int:
             setattr(args, key, value)
         if not 0 <= getattr(args, "seed", 0) < 2**64:
             raise CliError(f"--seed must be from 0 to 2**64 - 1, got {args.seed}")
+        if seed_flag and args.func is cmd_msd and args.paths == 0:  # the closed form draws nothing
+            raise CliError("--seed is read only by --paths > 0")
         workers = getattr(args, "workers", None)
         limit = WORKERS_PER_CPU * len(os.sched_getaffinity(0))
         if workers is not None and not 1 <= workers <= limit:
@@ -760,9 +764,12 @@ def main(argv=None) -> int:
                 f"--workers must be from 1 to {limit} ({WORKERS_PER_CPU} per available CPU), "
                 f"got {workers}"
             )
-        with warnings.catch_warnings():  # a library warning is one line, not a source excerpt
-            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-            return args.func(args, written)
+        # a library warning is one line, not a source excerpt, printed only if no error follows it
+        with warnings.catch_warnings(record=True) as caught:
+            code = args.func(args, written)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
+        return code
     except KeyboardInterrupt:
         message = "interrupted"
     except (CliError, ValueError, OSError, MemoryError) as exc:

@@ -158,6 +158,27 @@ def _skip_doubles(rng: np.random.Generator, m: int) -> None:
     bitgen.random_raw(left - _PHILOX_BLOCK * skipped)
 
 
+def _step_draws(rng, m: int):
+    """The draw functions ``(normal, uniform, skip)`` of one lockstep kernel step over m paths.
+
+    ``rng`` is one shared generator, which draws m-vectors, or m per-path
+    generators, which draw a scalar each, as a one-path run on that stream
+    would.  ``uniform(index)`` makes the step's m raw 64-bit outputs and
+    turns only those at ``index`` into doubles, ``(raw >> 11) * 2**-53``:
+    bit for bit, and at the same stream position, ``random(m).take(index)``.
+    ``skip()`` leaves the streams where ``random(m)`` does: a shared generator
+    passes over the outputs (:func:`_skip_doubles`), per-path ones draw them.
+    """
+    if isinstance(rng, list):
+        normals, raws = [g.standard_normal for g in rng], [g.bit_generator.random_raw for g in rng]
+        normal = lambda: np.array([f() for f in normals])
+        raw = skip = lambda: np.array([f() for f in raws], dtype=np.uint64)
+    else:
+        normal, raw = lambda: rng.standard_normal(m), lambda: rng.bit_generator.random_raw(m)
+        skip = lambda: _skip_doubles(rng, m)
+    return normal, lambda index: (raw().take(index) >> 11) * 2.0**-53, skip
+
+
 def _fork_map(work: Callable, shares: list) -> list:
     """``[work(share) for share in shares]``, the first share here and each other in a forked worker.
 

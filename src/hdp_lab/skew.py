@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Path, SeedSpec, TimeGrid, _require_positive, _skip_doubles
+from .core import Path, SeedSpec, TimeGrid, _require_positive, _step_draws
 
 __all__ = [
     "SkewCoefficients",
@@ -238,15 +238,15 @@ def _chain(theta: float, grid: TimeGrid, seed: SeedSpec, n_paths: int, x_start) 
     at modulus |x_start| on side -1 if ``x_start < 0``, else +1 (so -0.0
     starts on +).  Zero paths give an empty array.
 
-    Every step draws ``standard_normal(n_paths)``, then ``random(n_paths)``
-    or the same move of the stream (see below).  The paths carry their
-    modulus and side (+-1) from step to step, and the value side*modulus is
-    built once, at the end.  The sign stage runs only on the paths near 0,
-    those with rho*|x| < 33*h: elsewhere the damping exp(-2*rho*|x|/h) is
-    below 2**-92, the sign probability rounds to exactly 1.0 and the path
-    keeps its side, so skipping it changes no bit of the result.  Once the
-    paths have spread out that is most of them.  A path whose new value is
-    a zero, of either sign, takes side +1, as ``x >= 0`` gives it.
+    Each step draws through :func:`~hdp_lab.core._step_draws` and makes only
+    the uniforms it reads.  The paths carry their modulus and side (+-1) from
+    step to step, and the value side*modulus is built once, at the end.  The
+    sign stage runs only on the paths near 0, those with rho*|x| < 33*h:
+    elsewhere the damping exp(-2*rho*|x|/h) is below 2**-92, the sign
+    probability rounds to exactly 1.0 and the path keeps its side, so
+    skipping it changes no bit of the result.  Once the paths have spread out
+    that is most of them.  A path whose new value is a zero, of either sign,
+    takes side +1, as ``x >= 0`` gives it.
 
     At |theta| = 1 a path whose side s has s*theta = 1 is pinned to it: its
     sign probability (1 + damp)/(1 + damp) is exactly 1.0 in floating point,
@@ -256,11 +256,9 @@ def _chain(theta: float, grid: TimeGrid, seed: SeedSpec, n_paths: int, x_start) 
     zero landings there).  A pinned path that lands on a zero keeps side -1
     where ``x >= 0`` would give +1; that changes no bit, since from modulus
     0 theta = -1 gives -rho whichever side the path carries, and the
-    terminal -1 * 0.0 is the -0.0 the sign stage gives.  A step with no
-    path near 0 moves the stream past its uniforms
-    (:func:`~hdp_lab.core._skip_doubles`) without making them.
+    terminal -1 * 0.0 is the -0.0 the sign stage gives.
     """
-    rng = seed.generator()
+    normal, uniform, skip = _step_draws(seed.generator(), n_paths)
     h = grid.h
     root_h = math.sqrt(h)
     near_bound = _NEAR * h
@@ -269,7 +267,7 @@ def _chain(theta: float, grid: TimeGrid, seed: SeedSpec, n_paths: int, x_start) 
     # the paths not pinned to their side; None while |theta| < 1 pins none
     free = None if abs(theta) < 1.0 else np.flatnonzero(side != theta)
     for _ in range(grid.n_steps):
-        rho = rng.standard_normal(n_paths)
+        rho = normal()
         rho *= root_h
         rho += xa
         np.abs(rho, out=rho)
@@ -278,15 +276,14 @@ def _chain(theta: float, grid: TimeGrid, seed: SeedSpec, n_paths: int, x_start) 
         else:
             near = free[rho.take(free) * xa.take(free) < near_bound]
         if near.size:
-            u = rng.random(n_paths)
             s, a, r = side.take(near), xa.take(near), rho.take(near)
             damp = np.exp(-2.0 * r * a / h)
-            x_near = s * np.where(u.take(near) < (1.0 + s * theta * damp) / (1.0 + damp), r, -r)
+            x_near = s * np.where(uniform(near) < (1.0 + s * theta * damp) / (1.0 + damp), r, -r)
             side.put(near, (x_near >= 0.0) * 2.0 - 1.0)
             if free is not None:
                 free = free[side.take(free) != theta]
         else:
-            _skip_doubles(rng, n_paths)
+            skip()
         xa = rho
     x = side * xa
     if near.size:

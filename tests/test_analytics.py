@@ -22,10 +22,8 @@ from hdp_lab import (
     skew_density,
     skew_transition_sample,
 )
-from hdp_lab.analytics import _bridge_draws, _reversed_bridge_core
+from hdp_lab.analytics import _reversed_bridge_core
 from hdp_lab.stats import ks_test
-
-from test_core import _full_state
 
 
 class TestMsd:
@@ -382,24 +380,6 @@ class TestBridgeCore:
             np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
         for a, b in zip(got_rng, want_rng) if per_path else [(got_rng, want_rng)]:
             assert stream_position(a) == stream_position(b)
-
-
-class TestPerPathUniforms:
-    """A per-path uniform made from a raw Philox output is the double ``random()`` makes."""
-
-    @pytest.mark.parametrize("draws", range(1, 10))
-    def test_equal_to_random_bit_for_bit_and_same_state(self, draws):
-        # 1-9 draws in a row cross the four-output Philox buffer at every offset
-        made = [SeedSpec(23, j).generator() for j in range(5)]
-        drawn = [SeedSpec(23, j).generator() for j in range(5)]
-        made[2].random(3)  # paths part-way through their buffers
-        drawn[2].random(3)
-        _, uniform, skip = _bridge_draws(made, len(made))
-        for k in range(draws):
-            got = (uniform if k % 3 else skip)()
-            want = np.array([g.random() for g in drawn])
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-        assert [_full_state(g) for g in made] == [_full_state(g) for g in drawn]
 
 
 class TestHeatIdentity:

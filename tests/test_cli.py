@@ -396,6 +396,7 @@ class TestOutOfMemory:
         "argv",
         [
             ["exit-prob", "--paths", HUGE],
+            ["exit-prob", "--step-h", "1e-3", "--paths", HUGE],  # its coarse-step warning is dropped
             ["simulate", "--family", "benchmark", "--steps", HUGE, "--paths", "1"],
             ["reverse", "--paths", "3", "--steps", HUGE],
             ["msd", "--paths", HUGE],
@@ -668,6 +669,7 @@ class TestParserSurface:
             (["simulate", "--family", "benchmark", "--theta", "0.3"], "", "--theta is read only by --family skew"),
             (["density", "--which", "skew", "--x0", "1"], "points=pts.csv", "--x0 is read only by --which joint-bl"),
             (["reverse", "--paths", "0"], "", "--paths must be >= 1, got 0"),
+            (["msd", "--paths", "0", "--seed", "3"], "", "--seed is read only by --paths > 0"),
         ],
     )
     def test_a_usage_error_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv, config, message):
@@ -680,6 +682,18 @@ class TestParserSurface:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not Path("out").exists()
+
+    @pytest.mark.parametrize("source", ["config", "env"])
+    def test_a_closed_form_msd_ignores_a_seed_from_config_or_env(self, tmp_path, monkeypatch, capsys, source):
+        argv = ["msd", "--paths", "0", "--format", "json", "--out", str(tmp_path)]
+        if source == "config":
+            (tmp_path / "run.cfg").write_text("seed=3\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        else:
+            monkeypatch.setenv("HDP_LAB_SEED", "3")
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert "seed" not in json.loads((tmp_path / "msd.json").read_text())
 
     def test_a_bad_value_is_reported_even_where_the_run_would_not_read_it(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HDP_LAB_SEED", "abc")

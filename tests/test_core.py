@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdp_lab import Path, SeedSpec, TimeGrid, sample_brownian
-from hdp_lab.core import _fork_map, _skip_doubles
+from hdp_lab.core import _fork_map, _skip_doubles, _step_draws
 
 
 class TestTimeGrid:
@@ -152,6 +152,31 @@ class TestSkipDoubles:
         assert _full_state(skipped) == _full_state(drawn)
         np.testing.assert_array_equal(skipped.random(9), drawn.random(9))
         np.testing.assert_array_equal(skipped.standard_normal(9), drawn.standard_normal(9))
+
+
+class TestStepDraws:
+    """A step's uniforms and skips leave every stream as ``random(m)`` does, one shared or one per path."""
+
+    @pytest.mark.parametrize("per_path", [False, True])
+    @pytest.mark.parametrize("draws", range(1, 10))
+    def test_uniform_is_random_taken_and_skip_is_random(self, per_path, draws):
+        # 1-9 draws in a row cross the four-output Philox buffer at every offset
+        m = 5
+        made, drawn = ([SeedSpec(23, j).generator() for j in range(m if per_path else 1)] for _ in range(2))
+        for g in (made[-1], drawn[-1]):
+            g.random(3)  # a stream part-way through its buffer
+        _, uniform, skip = _step_draws(made if per_path else made[0], m)
+        indexes = [None, np.array([], dtype=np.intp), np.array([1, 3]), np.arange(m)]  # None skips
+        for k in range(draws):
+            want = np.array([g.random() for g in drawn]) if per_path else drawn[0].random(m)
+            index = indexes[k % len(indexes)]
+            if index is None:
+                skip()
+            else:
+                got = uniform(index)
+                assert got.dtype == np.float64
+                np.testing.assert_array_equal(got.view(np.int64), want.take(index).view(np.int64))
+            assert [_full_state(g) for g in made] == [_full_state(g) for g in drawn]
 
 
 def _share_and_pid(share):

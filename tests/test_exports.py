@@ -79,3 +79,21 @@ def test_every_all_name_is_used_in_the_package():
     used = set().union(*(_uses_outside_definitions(ast.parse(path.read_text())) for path in sources))
     public = {name for module in MODULES for name in getattr(module, "__all__", ())}
     assert sorted(public - used) == sorted(UNUSED_BUT_KEPT)
+
+
+#: the Philox stream internals that ``core`` alone may name: its step-draw helper reads them for every kernel
+STREAM_INTERNALS = {"bit_generator", "random_raw", "_skip_doubles"}
+
+
+def test_only_core_names_the_stream_internals():
+    """A kernel draws through ``core._step_draws``; no other module reads, calls or imports what it hides."""
+    named = {}
+    for path in Path(hdp_lab.__file__).parent.glob("*.py"):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            names |= {alias.name for alias in getattr(node, "names", ()) if isinstance(alias, ast.alias)}
+            for name in names & STREAM_INTERNALS:
+                named.setdefault(path.name, set()).add(name)
+    assert not named
