@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .core import Path, SeedSpec, TimeGrid, _require_positive, _step_draws
+from .core import SeedSpec, TimeGrid, _require_positive, _step_draws
 from .skew import SkewCoefficients, _require_theta
 from .solutions import _require_alpha
 
@@ -27,7 +27,6 @@ __all__ = [
     "joint_density_BL",
     "joint_density_YB",
     "msd",
-    "reversed_pair_bridge",
     "reversed_bridge_ensemble",
     "heat_check_density",
 ]
@@ -228,25 +227,6 @@ def _reversed_bridge_core(theta, b0, grid, rng, keep):
     return skew_nodes, ell_nodes, ell
 
 
-def reversed_pair_bridge(
-    theta: float, terminal_skew: float, grid: TimeGrid, seed: SeedSpec
-) -> tuple[Path, Path]:
-    """Law-exact reversed pair (Y-bar, B-bar) on [0, t_end] from a terminal skew value.
-
-    Conditioned on the forward skew value at time t_end, the reversed skew
-    coordinate is a bridge to 0: its modulus follows the exact Gaussian
-    bridge recursion, local time at 0 is drawn exactly per step, and the
-    excursion sign refreshes with the skew split at every zero passage.  The
-    driver coordinate is the skew value minus theta times the *remaining*
-    local time, so it ends at 0, the forward start.  Marginals are exact in
-    law at the grid nodes; theta < 0 runs the mirrored system and negates.
-    This is :func:`reversed_bridge_ensemble` with one path.  It spans the
-    full horizon, since the remaining local time needs the whole bridge.
-    """
-    y, z, _ = reversed_bridge_ensemble(theta, [float(terminal_skew)], grid, seed)
-    return Path(grid, y[0]), Path(grid, z[0])
-
-
 def reversed_bridge_ensemble(
     theta: float,
     terminal_skew,
@@ -254,10 +234,19 @@ def reversed_bridge_ensemble(
     seed,
     capture_step: int | None = None,
 ):
-    """Ensemble version of :func:`reversed_pair_bridge`, all paths in lockstep.
+    """Law-exact reversed pairs (Y-bar, B-bar) on [0, t_end] from terminal skew values, all paths in lockstep.
+
+    Conditioned on the forward skew value at time t_end, the reversed skew
+    coordinate is a bridge to 0: its modulus follows the exact Gaussian
+    bridge recursion, local time at 0 is drawn exactly per step, and the
+    excursion sign refreshes with the skew split at every zero passage.  The
+    driver coordinate is the skew value minus theta times the *remaining*
+    local time, so it ends at 0, the forward start; a path therefore spans
+    the full horizon.  Marginals are exact in law at the grid nodes; theta <
+    0 runs the mirrored system and negates.
 
     ``seed`` is one :class:`SeedSpec` shared by all paths, or one per path;
-    path j then draws exactly what ``reversed_pair_bridge`` does on seed[j].
+    path j then draws exactly what a one-path run on seed[j] draws.
     Returns ``(y, z, local_time_total)``: ``y`` and ``z`` of shape (paths,
     kept nodes), row j holding path j's (Y-bar, B-bar) at every node, or at
     node ``capture_step`` alone, and each path's total boundary local time

@@ -31,7 +31,7 @@ them wherever its value came from; a parse error, a bad value and a missing
 required option all exit 2 with one ``error:`` line.  CSV numbers carry
 17 significant digits so round-trips are bit-stable; JSON manifests carry a
 schema-version field and every input needed to regenerate the run.  Partial
-output files are removed when a command fails.
+output files are removed when a command fails; a closed stdout fails none.
 """
 
 from __future__ import annotations
@@ -150,6 +150,15 @@ def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
+def _status(line: str) -> None:
+    """Print a status line: a command prints once its outputs are written, so a closed stdout fails nothing."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:  # the rest goes to the null device: the flush at exit must not raise it again
+        with contextlib.suppress(OSError), open(os.devnull, "w") as devnull:  # or stdout has no descriptor
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
 def _content_lines(path: str, what: str):
     """``("<path>:<line>", line)`` for each stripped line of ``path`` that is neither blank nor a ``#`` comment.
 
@@ -208,9 +217,9 @@ def _outdir(args) -> str:
 
 
 def _open_csv(path: str, header: list, written: list):
-    """Single-writer CSV emission: opens the file, writes the header, registers it for cleanup."""
-    written.append(path)
+    """Single-writer CSV emission: opens the file, then registers it for cleanup and writes the header."""
     fh = open(path, "w", encoding="utf-8", newline="\n")
+    written.append(path)
     fh.write(",".join(header) + "\n")
     return fh
 
@@ -268,8 +277,8 @@ def _write_block(fh, path_id: int, template: tuple, columns: tuple) -> None:
 
 
 def _write_json(path: str, payload, written: list) -> None:
-    written.append(path)
     with open(path, "w", encoding="utf-8") as fh:
+        written.append(path)
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -348,7 +357,7 @@ def _write_ensemble(
         "csv_file": csv_name,
     }
     _write_json(os.path.join(out, "manifest.json"), {**manifest, **fields}, written)
-    print(f"wrote {csv_path} ({paths} {noun} x {steps + 1} nodes) and its manifest")
+    _status(f"wrote {csv_path} ({paths} {noun} x {steps + 1} nodes) and its manifest")
 
 
 def _write_share(fh, template: tuple, blocks, share: tuple) -> None:
@@ -445,12 +454,12 @@ def cmd_verify(args, written: list) -> int:
     width = max(len(report.check_name) for report in reports)
     for report in reports:
         status = "PASS" if report.passed else "FAIL"
-        print(
+        _status(
             f"{status}  {report.check_name:<{width}}  "
             f"measured={report.measured:.6g}  reference={report.reference:.6g}"
         )
     failed = sum(not report.passed for report in reports)
-    print(f"{len(reports) - failed}/{len(reports)} checks passed; report: {path}")
+    _status(f"{len(reports) - failed}/{len(reports)} checks passed; report: {path}")
     return 1 if failed else 0
 
 
@@ -522,7 +531,7 @@ def cmd_density(args, written: list) -> int:
     out = _outdir(args)
     path = os.path.join(out, f"density_{which.replace('-', '_')}.csv")
     _write_rows(path, [*labels, "density", "status"], table, written)
-    print(f"wrote {path} ({len(table)} rows, {flagged} flagged)")
+    _status(f"wrote {path} ({len(table)} rows, {flagged} flagged)")
     return 1 if flagged else 0
 
 
@@ -540,7 +549,7 @@ def _emit_record(args, name: str, record: dict, written: list) -> None:
             _fmt(record[k]) if isinstance(record[k], float) else str(record[k]) for k in keys
         ]
         _write_rows(os.path.join(out, f"{name}.csv"), keys, [values], written)
-    print(", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in record.items()))
+    _status(", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in record.items()))
 
 
 def cmd_msd(args, written: list) -> int:

@@ -18,7 +18,6 @@ from hdp_lab import (
     joint_density_YB,
     msd,
     reversed_bridge_ensemble,
-    reversed_pair_bridge,
     skew_density,
     skew_transition_sample,
 )
@@ -177,15 +176,15 @@ class TestBridgeReversal:
     def test_endpoints_are_exact(self):
         co = SkewCoefficients(0.5)
         grid = TimeGrid(1.0, 500)
-        y, z = reversed_pair_bridge(0.5, 0.8, grid, SeedSpec(73))
-        assert y.values[0] == pytest.approx(co.s(0.8), abs=1e-14)
-        assert y.terminal == 0.0
-        assert z.terminal == 0.0
+        (y,), (z,), _ = reversed_bridge_ensemble(0.5, [0.8], grid, SeedSpec(73))
+        assert y[0] == pytest.approx(co.s(0.8), abs=1e-14)
+        assert y[-1] == 0.0
+        assert z[-1] == 0.0
 
     def test_driver_start_carries_accumulated_local_time(self):
         # z_0 = b - theta * total local time <= b, strictly when L_T > 0
-        y, z = reversed_pair_bridge(0.5, 0.1, TimeGrid(1.0, 2000), SeedSpec(74))
-        assert z.values[0] < 0.1
+        _, (z,), _ = reversed_bridge_ensemble(0.5, [0.1], TimeGrid(1.0, 2000), SeedSpec(74))
+        assert z[0] < 0.1
 
     @settings(max_examples=40)
     @given(case=bridge_ensembles(), per_path=st.booleans())
@@ -200,7 +199,7 @@ class TestBridgeReversal:
 
     def test_full_skew_wrong_side_rejected(self):
         with pytest.raises(ValueError, match="unreachable"):
-            reversed_pair_bridge(1.0, -0.5, TimeGrid(1.0, 100), SeedSpec(76))
+            reversed_bridge_ensemble(1.0, [-0.5], TimeGrid(1.0, 100), SeedSpec(76))
 
     @pytest.mark.parametrize("capture_step", [None, 1])
     def test_local_time_past_the_float_range_rejected(self, capture_step):
@@ -209,11 +208,13 @@ class TestBridgeReversal:
         with pytest.raises(ValueError, match="too long for the bridge"):
             reversed_bridge_ensemble(0.5, [1e154], grid, SeedSpec(76), capture_step)
 
-    def test_ensemble_mid_capture_law(self):
+    # each step's local time is exact given its endpoints, so the law holds at any grid
+    @pytest.mark.parametrize("steps", [2, 20, 2000])
+    def test_ensemble_mid_capture_law(self, steps):
         theta, horizon = 0.5, 1.0
         terminals = skew_transition_sample(theta, 0.0, horizon, SeedSpec(77), size=4000)
-        grid = TimeGrid(horizon, 2000)
-        y, z, ell = reversed_bridge_ensemble(theta, terminals, grid, SeedSpec(78), 1000)
+        grid = TimeGrid(horizon, steps)
+        y, z, ell = reversed_bridge_ensemble(theta, terminals, grid, SeedSpec(78), steps // 2)
         y, z = y[:, 0], z[:, 0]
         assert y.shape == z.shape == ell.shape == (4000,)
         _, p = ks_test(z, lambda v: ndtr(np.asarray(v) / math.sqrt(0.5)))
@@ -250,9 +251,9 @@ class TestLockstepBridge:
         y, z, _ = reversed_bridge_ensemble(theta, terminals, grid, seeds)
         assert y.shape == z.shape == (len(terminals), grid.n_steps + 1)
         for j, (terminal, seed) in enumerate(zip(terminals, seeds)):
-            y_j, z_j = reversed_pair_bridge(theta, terminal, grid, seed)
-            np.testing.assert_array_equal(y[j], y_j.values)
-            np.testing.assert_array_equal(z[j], z_j.values)
+            (y_j,), (z_j,), _ = reversed_bridge_ensemble(theta, [terminal], grid, seed)
+            np.testing.assert_array_equal(y[j], y_j)
+            np.testing.assert_array_equal(z[j], z_j)
 
     @settings(max_examples=60)
     @given(case=bridge_ensembles(), per_path=st.booleans(), data=st.data())

@@ -419,6 +419,72 @@ class TestOutOfMemory:
         assert not list(tmp_path.iterdir())
 
 
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises ``BrokenPipeError``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv, code, files",
+        [
+            (["simulate", "--family", "skew", "--paths", "2", "--steps", "10"], 0, ["manifest.json", "paths.csv"]),
+            (["verify", "--suite", "heat"], 0, ["verify_heat.json"]),
+            (["msd"], 0, ["msd.csv"]),
+            (["density", "--which", "skew", "--points", "{points}"], 1, ["density_skew.csv", "points.csv"]),
+        ],
+        ids=["simulate", "verify", "msd", "density"],
+    )
+    def test_a_finished_run_keeps_its_code_and_files(self, tmp_path, monkeypatch, capsys, argv, code, files):
+        points = tmp_path / "points.csv"
+        if "{points}" in argv:  # one row is flagged, so the run's own code is 1
+            points.write_text("b\n0.5\nnan\n")
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main([*(arg.format(points=points) for arg in argv), "--out", str(tmp_path)]) == code
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
+        assert capsys.readouterr().err == ""
+
+    def test_a_closed_read_end_fails_nothing(self, tmp_path):
+        """``hdp-lab simulate ... | head -c 0``, with the default block-buffered stdout: exit 0,
+        both files, and no "Exception ignored" from the flush at exit."""
+        src = str(Path(__file__).parents[1] / "src")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        argv = ["simulate", "--family", "skew", "--paths", "2", "--steps", "10", "--out", str(tmp_path)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hdp_lab.cli", *argv],
+            env={**env, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # long before the interpreter has imported numpy
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60.0) == 0, err
+        assert err == b""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "paths.csv"]
+
+
+class TestFailedOpen:
+    @pytest.mark.parametrize("name", ["paths.csv", "manifest.json"])
+    def test_a_file_the_run_could_not_open_is_left_alone(self, tmp_path, monkeypatch, capsys, name):
+        """As for a read-only file in a writable directory: exit 2, and the file is as it was."""
+        mine = tmp_path / name
+        mine.write_text("not the run's\n")
+
+        def guarded_open(path, *args, **kwargs):
+            if os.fspath(path) == str(mine):
+                raise PermissionError(13, "Permission denied", str(mine))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", guarded_open, raising=False)
+        argv = ["simulate", "--family", "skew", "--paths", "2", "--steps", "10", "--workers", "1"]
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{mine}'\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert mine.read_text() == "not the run's\n"
+
+
 class TestReverse:
     def test_explicit_terminals(self, tmp_path):
         rc = main(

@@ -47,7 +47,6 @@ def test_package_exports_exactly_the_modules_all():
 UNUSED_BUT_KEPT = {
     "ito_sum": "the Stratonovich = (forward + backward)/2 identity property tests",
     "backward_sum": "the bracket = backward - forward identity property tests",
-    "reversed_pair_bridge": "goes with the benchmark self-check that still counts its spans",
 }
 
 

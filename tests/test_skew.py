@@ -260,9 +260,11 @@ class TestExactSamplers:
         b = skew_transition_sample(-0.6, -0.4, 1.0, SeedSpec(29), size=1000)
         np.testing.assert_allclose(a, -b, atol=1e-12)
 
-    def test_chain_terminals_match_marginal(self):
+    # exact transitions compose, so the law holds at any grid, the coarsest included
+    @pytest.mark.parametrize("steps", [1, 10, 200])
+    def test_chain_terminals_match_marginal(self, steps):
         theta = 0.5
-        draws = skew_chain_terminals(theta, TimeGrid(1.0, 200), SeedSpec(32), 20_000)
+        draws = skew_chain_terminals(theta, TimeGrid(1.0, steps), SeedSpec(32), 20_000)
         _, p = ks_test(draws, lambda u: skew_cdf(theta, 1.0, u))
         assert p > 0.01
 
