@@ -47,14 +47,63 @@ def _joint_normaliser(t) -> float:
     return norm
 
 
-def _zero_where_underflowed(out, gauss):
-    """``out`` as a float, or an array, with 0 where the Gaussian factor ``gauss`` underflowed to 0.
+def _pointwise(density, *coords):
+    """``density`` at each point of the broadcast ``coords``: a float for scalars, else an array of their shape."""
+    if all(np.ndim(c) == 0 for c in coords):
+        return density(*map(float, coords))
+    coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
+    values = map(density, *(c.ravel().tolist() for c in coords))
+    return np.fromiter(values, dtype=float, count=coords[0].size).reshape(coords[0].shape)
 
-    The factor before it may overflow there, and inf * 0 is nan; the density is 0.
-    """
-    if out.ndim:
-        return np.where(gauss > 0.0, out, 0.0)
-    return float(out) if gauss > 0.0 else 0.0
+
+def _bl_density(theta, t, w0):
+    """The (B^theta_t, L_t) density from w0 as a function of floats (b, l); theta, t and w0 are checked here, once."""
+    coeffs = SkewCoefficients(theta)
+    norm = _joint_normaliser(t)
+    if not math.isfinite(w0):
+        raise ValueError(f"w0 must be finite, got {w0}")
+    start, spread = abs(w0), float(2.0 * t)
+    beta_plus, beta_minus = coeffs.beta_plus, coeffs.beta_minus
+
+    def density(b, l):
+        if l <= 0.0:
+            raise ValueError("l must be positive (the density's continuous part lives on l > 0)")
+        m = l + start + abs(b)
+        gauss = float(np.exp(-(m * m) / spread))
+        if not gauss > 0.0:  # the factor before it may overflow there, and inf * 0 is nan
+            return 0.0
+        beta = beta_plus if b > 0.0 else beta_minus if b < 0.0 else 0.5  # sign(0) = 0
+        return 2.0 * beta * m / norm * gauss
+
+    return density
+
+
+def _yb_density(theta, t):
+    """The (Y_t, B_t) density as a function of floats (y, z); theta and t are checked here, once."""
+    coeffs = SkewCoefficients(theta)
+    if theta == 0.0:
+        raise ValueError("theta = 0 degenerates the joint law to the line y = 2z")
+    norm = _joint_normaliser(t)
+    if not theta**2 * norm > 2.0 / sys.float_info.max:
+        raise ValueError(
+            f"theta = {theta} takes the joint density's factor 2 / (theta^2 sqrt(2 pi t^3)) "
+            "out of the float range"
+        )
+    scale, spread = float(theta**2 * norm), float(2.0 * theta**2 * t)
+    theta, beta_plus, beta_minus = coeffs.theta, coeffs.beta_plus, coeffs.beta_minus
+
+    def density(y, z):
+        beta = beta_plus if y > 0.0 else beta_minus if y < 0.0 else 0.5  # sign(0) = 0
+        if not (y * beta - z) / theta > 0.0:  # off the wedge, as SkewCoefficients.in_wedge
+            return 0.0
+        beta_sq = beta * beta
+        m = 2.0 * y * beta_sq - z
+        gauss = float(np.exp(-(m * m) / spread))
+        if not gauss > 0.0:  # |m| may overflow there, and inf * 0 is nan
+            return 0.0
+        return 2.0 * beta_sq / scale * abs(m) * gauss
+
+    return density
 
 
 def joint_density_BL(theta, t, w0, b, l):
@@ -66,17 +115,13 @@ def joint_density_BL(theta, t, w0, b, l):
     this function evaluates only the absolutely continuous l > 0 part.  Where
     the Gaussian factor underflows to 0 the density is 0, also where the
     factor before it overflows (m near the float range, or t small).
+
+    Arrays are evaluated point by point, in floats, by the one evaluator
+    that the quadratures call too, so there is one copy of the formula.
+    The Gaussian factor is ``np.exp``: ``math.exp`` differs from it in the
+    last place on some arguments, and the verify reports would move.
     """
-    coeffs = SkewCoefficients(theta)
-    norm = _joint_normaliser(t)
-    if not math.isfinite(w0):
-        raise ValueError(f"w0 must be finite, got {w0}")
-    l_arr = np.asarray(l, dtype=float)
-    if np.any(l_arr <= 0.0):
-        raise ValueError("l must be positive (the density's continuous part lives on l > 0)")
-    m = l_arr + abs(w0) + np.abs(b)
-    gauss = np.exp(-np.square(m) / (2.0 * t))
-    return _zero_where_underflowed(2.0 * coeffs.beta(b) * m / norm * gauss, gauss)
+    return _pointwise(_bl_density(theta, t, w0), b, l)
 
 
 def joint_density_YB(theta, t, y, z):
@@ -90,30 +135,11 @@ def joint_density_YB(theta, t, y, z):
     positive on the wedge anyway.  A theta so small that 2 / (theta^2 sqrt(2
     pi t^3)) overflows raises ValueError.  Where the Gaussian factor
     underflows to 0 the density is 0, also where |m| overflows.
+
+    Arrays are evaluated point by point, and the Gaussian factor is
+    ``np.exp``, as in :func:`joint_density_BL`.
     """
-    coeffs = SkewCoefficients(theta)
-    if theta == 0.0:
-        raise ValueError("theta = 0 degenerates the joint law to the line y = 2z")
-    norm = _joint_normaliser(t)
-    if not theta**2 * norm > 2.0 / sys.float_info.max:
-        raise ValueError(
-            f"theta = {theta} takes the joint density's factor 2 / (theta^2 sqrt(2 pi t^3)) "
-            "out of the float range"
-        )
-    y_arr = np.asarray(y, dtype=float)
-    z_arr = np.asarray(z, dtype=float)
-    beta = coeffs.beta(y_arr)
-    m = 2.0 * y_arr * np.square(beta) - z_arr
-    support = coeffs.in_wedge(y_arr, z_arr)
-    gauss = np.exp(-np.square(m) / (2.0 * theta**2 * t))
-    dens = (
-        2.0
-        * np.square(beta)
-        / (theta**2 * norm)
-        * np.abs(m)
-        * gauss
-    )
-    return _zero_where_underflowed(np.where(support, dens, 0.0), gauss)
+    return _pointwise(_yb_density(theta, t), y, z)
 
 
 def msd(alpha: float, theta: float, t: float) -> float:
@@ -307,7 +333,8 @@ def heat_check_density(theta: float, u: float, y: float, z: float, fd_step: floa
                 )
 
     d = fd_step
-    p = lambda uu, yy, zz: joint_density_YB(theta, uu, yy, zz)
+    at = {uu: _yb_density(theta, uu) for uu in (u - d, u, u + d)}
+    p = lambda uu, yy, zz: at[uu](yy, zz)
     du = (p(u + d, y, z) - p(u - d, y, z)) / (2.0 * d)
     p0 = p(u, y, z)
     dyy = (p(u, y + d, z) - 2.0 * p0 + p(u, y - d, z)) / d**2

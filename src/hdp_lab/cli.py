@@ -50,7 +50,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .analytics import joint_density_BL, joint_density_YB, msd, reversed_bridge_ensemble
+from .analytics import _bl_density, _yb_density, msd, reversed_bridge_ensemble
 from .core import SeedSpec, TimeGrid, _fork_map, _require_positive, sample_brownian
 from .experiments import SUITES, run_suite
 from .skew import (
@@ -496,17 +496,19 @@ def cmd_density(args, written: list) -> int:
     which, theta, t = args.which, args.theta, args.t_end
     if args.points is None:
         raise CliError("density requires --points (CSV file of evaluation points)")
-    _require_positive("t", t)  # the joint-yb rows outside the wedge never reach a density
+    _require_positive("t", t)  # also for a file whose every row is flagged and reaches no density
     if which == "skew":
         labels = ("b",)
     elif which == "joint-bl":
         if not math.isfinite(args.x0):
             raise CliError(f"joint-bl needs a finite --x0, got {args.x0}")
         labels = ("b", "l")
+        density = _bl_density(theta, t, args.x0)
     else:
         if theta == 0.0:
             raise CliError("joint-yb needs theta != 0 (theta = 0 collapses the joint law to a line)")
         labels = ("y", "z")
+        density = _yb_density(theta, t)
     points = _read_points(args.points, len(labels), labels)
     coeffs = SkewCoefficients(theta)
     table = []
@@ -520,10 +522,10 @@ def cmd_density(args, written: list) -> int:
             if row[1] <= 0.0:
                 value, status = math.nan, "invalid: l must be > 0"
             else:
-                value, status = joint_density_BL(theta, t, args.x0, row[0], row[1]), "ok"
+                value, status = density(*row), "ok"
         else:
             if coeffs.in_wedge(row[0], row[1]):
-                value, status = joint_density_YB(theta, t, row[0], row[1]), "ok"
+                value, status = density(*row), "ok"
             else:
                 value, status = 0.0, "outside-support"
         flagged += status != "ok"

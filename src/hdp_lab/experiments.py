@@ -34,13 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytics import (
-    heat_check_density,
-    joint_density_BL,
-    joint_density_YB,
-    msd,
-    reversed_bridge_ensemble,
-)
+from .analytics import _bl_density, _yb_density, heat_check_density, msd, reversed_bridge_ensemble
 from .core import Path, SeedSpec, TimeGrid, _fork_map, sample_brownian
 from .integrals import bracket_convergence, bracket_estimate, pv_integral, sde_residual
 from .skew import (
@@ -331,15 +325,14 @@ def _yb_mass(theta: float, t: float) -> float:
     from scipy import integrate
 
     coeffs = SkewCoefficients(theta)
+    density = _yb_density(theta, t)
     y_max = 14.0 * math.sqrt(t) / coeffs.beta_minus
 
     def inner(y: float) -> float:
         m_hi = theta * coeffs.beta(y) * abs(y) + 14.0 * theta * math.sqrt(t)
         z_lo = 2.0 * y * coeffs.beta(y) ** 2 - m_hi
         z_hi = coeffs.r(y)
-        value, _ = integrate.quad(
-            lambda z: joint_density_YB(theta, t, y, z), z_lo, z_hi, epsabs=1e-12, limit=200
-        )
+        value, _ = integrate.quad(lambda z: density(y, z), z_lo, z_hi, epsabs=1e-12, limit=200)
         return value
 
     negative, _ = integrate.quad(inner, -y_max, 0.0, epsabs=1e-10, limit=200)
@@ -351,8 +344,9 @@ def _density_masses(theta: float, t: float) -> VerificationReport:
     """Both joint densities integrate to one at (theta, t)."""
     from scipy import integrate
 
+    bl_density = _bl_density(theta, t, 0.0)
     bl_mass, _ = integrate.dblquad(
-        lambda l, b: joint_density_BL(theta, t, 0.0, b, l),
+        lambda l, b: bl_density(b, l),
         -12.0 * math.sqrt(t),
         12.0 * math.sqrt(t),
         1e-12,
@@ -379,16 +373,15 @@ def _yb_z_marginal(theta: float, t: float) -> VerificationReport:
     from scipy import integrate
 
     coeffs = SkewCoefficients(theta)
+    density = _yb_density(theta, t)
     n_z, worst = 20, 0.0
-    for z in np.linspace(-2.2, 2.2, n_z):
+    for z in np.linspace(-2.2, 2.2, n_z).tolist():
         y_lo = coeffs.s(z)
         y_hi = coeffs.s(abs(z) + 14.0 * math.sqrt(t)) + 1.0
         pieces = [(y_lo, 0.0), (0.0, y_hi)] if y_lo < 0 else [(y_lo, y_hi)]
         total = 0.0
         for a, b in pieces:
-            value, _ = integrate.quad(
-                lambda y: joint_density_YB(theta, t, y, z), a, b, epsabs=1e-12, limit=300
-            )
+            value, _ = integrate.quad(lambda y: density(y, z), a, b, epsabs=1e-12, limit=300)
             total += value
         gauss = math.exp(-z * z / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
         worst = max(worst, abs(total - gauss))
@@ -410,7 +403,6 @@ def _yb_z_marginal(theta: float, t: float) -> VerificationReport:
     (_density_masses, 0.7, 0.5),
     (_density_masses, 0.7, 1.0),
     (_yb_z_marginal, 0.7, 1.0),
-    seconds=(0.7, 0.8, 0.6, 0.6, 0.1),
     imports=("scipy.integrate",),
 )
 def check_density_normalizations(part: Callable, theta: float, t: float) -> list[VerificationReport]:
@@ -435,10 +427,9 @@ def check_heat_identity(theta: float) -> list[VerificationReport]:
             candidates.append((float(y), float(coeffs.r(y) - offset)))
     picked = []
     d = fd_steps[0]
+    later, earlier = _yb_density(theta, u + d), _yb_density(theta, u - d)
     for y, z in candidates:
-        slope = (
-            joint_density_YB(theta, u + d, y, z) - joint_density_YB(theta, u - d, y, z)
-        ) / (2.0 * d)
+        slope = (later(y, z) - earlier(y, z)) / (2.0 * d)
         if abs(slope) >= du_screen:
             picked.append((y, z))
         if len(picked) == 20:

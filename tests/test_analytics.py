@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -157,6 +157,95 @@ class TestJointDensities:
         values = density(*start, *map(np.asarray, columns))
         assert values.tolist() == [density(*start, *point) for point in zip(*columns)]
         assert values[-1] == 0.0
+
+
+def _numpy_bl(theta, t, w0, b, l):
+    """joint_density_BL as numpy evaluated it before the float evaluator, verbatim: the bits it must keep."""
+    coeffs = SkewCoefficients(theta)
+    norm = math.sqrt(2.0 * math.pi * t**3)
+    l_arr = np.asarray(l, dtype=float)
+    m = l_arr + abs(w0) + np.abs(b)
+    gauss = np.exp(-np.square(m) / (2.0 * t))
+    out = 2.0 * coeffs.beta(b) * m / norm * gauss
+    if out.ndim:
+        return np.where(gauss > 0.0, out, 0.0)
+    return float(out) if gauss > 0.0 else 0.0
+
+
+def _numpy_yb(theta, t, y, z):
+    """joint_density_YB as numpy evaluated it before the float evaluator, verbatim: the bits it must keep."""
+    coeffs = SkewCoefficients(theta)
+    norm = math.sqrt(2.0 * math.pi * t**3)
+    y_arr = np.asarray(y, dtype=float)
+    z_arr = np.asarray(z, dtype=float)
+    beta = coeffs.beta(y_arr)
+    m = 2.0 * y_arr * np.square(beta) - z_arr
+    support = coeffs.in_wedge(y_arr, z_arr)
+    gauss = np.exp(-np.square(m) / (2.0 * theta**2 * t))
+    dens = (
+        2.0
+        * np.square(beta)
+        / (theta**2 * norm)
+        * np.abs(m)
+        * gauss
+    )
+    out = np.where(support, dens, 0.0)
+    if out.ndim:
+        return np.where(gauss > 0.0, out, 0.0)
+    return float(out) if gauss > 0.0 else 0.0
+
+
+def _points(coordinate):
+    """One to eight points, each a pair of ``coordinate`` draws."""
+    return st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=8)
+
+
+_ANY_COORDINATE = st.floats(-1e308, 1e308) | st.floats(-6.0, 6.0)
+
+
+class TestDensityBits:
+    """The float evaluators give the numpy formulas' bits, as scalars and as arrays."""
+
+    @staticmethod
+    def _assert_same_bits(density, reference, start, points):
+        columns = [np.array(column) for column in zip(*points)]
+        with np.errstate(all="ignore"):  # the reference warns where a factor overflows
+            want = reference(*start, *columns)
+            want_each = [reference(*start, *point) for point in points]
+        assert density(*start, *columns).tolist() == want.tolist() == want_each
+        got_each = [density(*start, *point) for point in points]
+        assert all(type(value) is float for value in got_each)
+        assert got_each == want_each
+
+    @settings(max_examples=200)
+    @given(
+        theta=st.floats(-1.0, 1.0),
+        t=st.floats(0.01, 10.0),
+        w0=_ANY_COORDINATE,
+        points=_points(_ANY_COORDINATE).map(lambda pts: [(b, abs(l) or 1e-300) for b, l in pts]),
+    )
+    @example(theta=0.5, t=1.0, w0=0.0, points=[(0.0, 0.3), (-0.0, 0.3), (0.3, 0.2)])  # sign(0) = 0
+    @example(theta=1.0, t=0.7, w0=-0.0, points=[(-0.4, 1.0), (0.4, 1.0), (0.0, 5e-324)])
+    @example(theta=-1.0, t=0.7, w0=0.3, points=[(-0.4, 1.0), (0.4, 1.0), (-0.0, 0.1)])
+    @example(theta=0.3, t=10.0, w0=1e308, points=[(1e308, 1e308), (-1e308, 0.5), (40.0, 1.0)])  # underflow
+    @example(theta=0.3, t=0.01, w0=0.0, points=[(1e200, 1.0), (2.0, 1e-300)])
+    def test_bl_equals_the_numpy_formula(self, theta, t, w0, points):
+        self._assert_same_bits(joint_density_BL, _numpy_bl, (theta, t, w0), points)
+
+    @settings(max_examples=200)
+    @given(
+        theta=st.floats(-1.0, 1.0).filter(lambda t: abs(t) > 1e-100),
+        t=st.floats(0.01, 10.0),
+        points=_points(_ANY_COORDINATE),
+    )
+    @example(theta=0.5, t=1.0, points=[(0.0, 0.0), (0.0, -0.3), (0.0, 0.3)])  # sign(0) = 0
+    @example(theta=0.5, t=1.0, points=[(-0.0, -0.3), (-0.0, 0.0), (0.3, -0.0)])
+    @example(theta=0.5, t=1.0, points=[(1.0, 0.75), (-2.0, -0.5), (0.8, 0.6000000000000001)])  # z = r(y)
+    @example(theta=1.0, t=0.7, points=[(-2.0, -0.0), (-2.0, -0.3), (1.0, 1.0), (0.5, 0.1)])
+    @example(theta=-1.0, t=0.7, points=[(1.0, 0.0), (-2.0, -2.0), (-2.0, -1.0), (0.5, 0.1)])
+    @example(theta=0.5, t=1.0, points=[(1e308, 0.1), (0.1, -1e308), (-1e308, -1e308), (1.0, -40.0)])  # underflow
+    def test_yb_equals_the_numpy_formula(self, theta, t, points):
+        self._assert_same_bits(joint_density_YB, _numpy_yb, (theta, t), points)
 
 
 @st.composite

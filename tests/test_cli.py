@@ -267,6 +267,40 @@ class TestDensity:
         assert rc == 2
 
 
+#: points at the joint densities' edges: sign(0) = 0 and -0.0, the wedge edge z = r(y) at
+#: theta = 0.5 and at theta = -1, Gaussian factors that underflow (1e308, 40), a subnormal l,
+#: and rows the command flags (non-finite, l <= 0, outside the wedge)
+EDGE_POINTS = {
+    "joint-bl": "b,l\n0.3,0.2\n-1.2,0.5\n0,1.0\n-0.0,0.4\n40.0,1.0\n1e308,1e308\n-1e308,0.5\n"
+    "0.5,1e-300\nnan,0.3\n0.2,inf\n0.3,0\n0.3,-1\n2.5,0.01\n",
+    "joint-yb": "y,z\n0.9,0.2\n-0.4,-1.5\n0,0\n-0.0,-0.3\n0,-0.3\n1.0,0.75\n-2.0,-0.5\n1.0,0.0\n"
+    "-2.0,-2.0\n1e308,0.1\n0.1,-1e308\n-1e308,-1e308\nnan,0.1\n0.5,5.0\n1.0,-40.0\n",
+}
+
+#: sha256 of the density CSVs of ``EDGE_POINTS`` at t = 0.7 (joint-bl from x0 = 0.3),
+#: recorded from the numpy evaluation of the densities, before the float evaluators
+DENSITY_GOLDEN = {
+    ("joint-bl", "0.5"): "b2037fc8f18844cb9b6a1650dd9795b786a6fa93c1174d8ecfcd8d651ad256d9",
+    ("joint-bl", "-1"): "0f3ffc57ade8335eacfee4dafdaddaa820318536f93722be65b5463b0aacd878",
+    ("joint-bl", "1"): "d592cb9941b6dd14827adbfd6bcdf51a020b8fc75d0b3b8f89d590b8c14f5bdf",
+    ("joint-yb", "0.5"): "d559039dfcd95b70a115515eb90fca50a25fd0df97975316ca7d176d60cc818d",
+    ("joint-yb", "-1"): "9f1ba1797ce934dd7d40000f0e2379b919743fecde22c4151facaeeb8090be4c",
+    ("joint-yb", "1"): "9d3b1b14495d679c2149d041aa50923cf329987b28f91948723d8dd3080167e8",
+}
+
+
+@pytest.mark.parametrize("which, theta", sorted(DENSITY_GOLDEN))
+def test_joint_density_csv_bytes_at_the_edges(tmp_path, which, theta):
+    points = tmp_path / "pts.csv"
+    points.write_text(EDGE_POINTS[which])
+    x0 = ["--x0", "0.3"] if which == "joint-bl" else []
+    argv = ["density", "--which", which, f"--theta={theta}", "--t-end", "0.7", *x0,
+            "--points", str(points), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1  # every file has flagged rows
+    name = f"density_{which.replace('-', '_')}.csv"
+    assert sha256_of(tmp_path / "out" / name) == DENSITY_GOLDEN[which, theta]
+
+
 class TestScalarCommands:
     def test_msd_closed_form_only(self, tmp_path, capsys):
         rc = main(["msd", "--alpha", "0.5", "--theta", "0", "--out", str(tmp_path)])

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hdp_lab import experiments
+from hdp_lab import analytics, experiments
 from hdp_lab.cli import main
 from hdp_lab.experiments import SUITES, _check, run_suite
 from hdp_lab.stats import VerificationReport
@@ -155,6 +155,20 @@ def test_elapsed_is_the_sum_of_unit_seconds(monkeypatch, workers):
     monkeypatch.setitem(SUITES, "heat", [three, one])
     reports = run_suite("heat", workers=workers)
     assert [r.metadata["elapsed_s"] for r in reports] == [0.75, 0.75, 0.75, 0.25]
+
+
+def test_the_density_quadratures_call_no_public_density(monkeypatch):
+    """Each quadrature point goes through an evaluator built once per integral, not through a public call."""
+
+    def refuse(*args):
+        raise AssertionError("a quadrature point went through a public joint density")
+
+    for name in ("joint_density_BL", "joint_density_YB"):
+        monkeypatch.setattr(analytics, name, refuse)
+        monkeypatch.setattr(experiments, name, refuse, raising=False)
+    golden = _recorded_one_worker_run("densities")
+    reports = experiments.check_density_normalizations(0, 4)  # a mass unit and the z-marginal
+    assert _without_elapsed(reports) == [golden[0], golden[4]]
 
 
 def test_bad_worker_count_rejected():
